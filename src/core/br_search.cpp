@@ -31,13 +31,17 @@ struct SumCostModel {
     return total;
   }
 
-  /// Global floor: the host-closure distance sum (served by the backend's
-  /// cached sums, summed in increasing v order per the host-backend query
-  /// contract -- identical to the naive search's dist_lower_bound).
+  /// Global floor: the host-closure distance sum, summed over the already
+  /// filled host row in increasing v order.  Every backend's cached
+  /// host_distance_sum(u) is that same row summed in the same order (the
+  /// host-backend query contract), so this is bitwise the naive search's
+  /// dist_lower_bound -- without the O(n^2) all-pairs pass an implicit
+  /// backend pays to fill its sums cache on first query.
   static double cheap_floor(const Game& game, int u,
                             const std::vector<double>& host_row) {
-    (void)host_row;
-    return game.host_distance_sum(u);
+    (void)game;
+    (void)u;
+    return distance_term(host_row);
   }
 
   /// Per-node floor for any superset reachable from the current DFS node:

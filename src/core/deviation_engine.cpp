@@ -41,6 +41,92 @@ double arena_sssp_sum(int n, int source, int dial_bound,
   return total;
 }
 
+/// Candidate targets evaluated per pass of the delta kernel over t.
+constexpr int kLanes = 4;
+
+/// Up to kLanes candidate targets x of one scanning agent, in increasing x:
+/// each candidate's cached distance row and w(u, x).
+struct LaneBlock {
+  int x[kLanes] = {};
+  const double* dx[kLanes] = {};
+  double w[kLanes] = {};
+  int size = 0;
+
+  void push(int target, const double* row, double weight) {
+    x[size] = target;
+    dx[size] = row;
+    w[size] = weight;
+    ++size;
+  }
+  bool full() const { return size == kLanes; }
+};
+
+/// The lane-batched delta kernel: out[l] = sum over t of term(t, w[l],
+/// dx[l][t]) for every lane of `block`.  Each lane keeps its own accumulator
+/// and adds in increasing t, so its sum is bitwise the single-candidate
+/// loop's; the lanes only give the CPU independent add chains (one serial
+/// `total +=` chain is bound by add latency).  Unused lanes of a partial
+/// block repeat lane 0 so every pass runs at full width.
+template <class Term>
+void lane_sums(std::size_t n, LaneBlock& block, double* out, Term&& term) {
+  for (int l = block.size; l < kLanes; ++l) {
+    block.dx[l] = block.dx[0];
+    block.w[l] = block.w[0];
+  }
+  double acc[kLanes] = {};
+  for (std::size_t t = 0; t < n; ++t)
+    for (int l = 0; l < kLanes; ++l)
+      acc[l] += term(t, block.w[l], block.dx[l][t]);
+  for (int l = 0; l < kLanes; ++l) out[l] = acc[l];
+}
+
+/// Distance cost of u after buying the extra edge (u, x) per lane:
+/// sum_t min(d(u, t), w(u, x) + d(x, t)).
+void addition_costs(const std::vector<double>& du, LaneBlock& block,
+                    double* out) {
+  const double* d = du.data();
+  lane_sums(du.size(), block, out, [d](std::size_t t, double w, double dxt) {
+    return std::min(d[t], w + dxt);
+  });
+}
+
+/// Distance cost of u after swapping bridge (u, v) for (u, x) per lane.
+/// Deleting the bridge splits the network into the side reachable from u
+/// (u_side) and the rest; distances within each side are untouched, and
+/// after adding (u, x) every far-side node t is reached as u -> x ~> t.
+void bridge_swap_costs(const std::vector<double>& du,
+                       const std::vector<char>& u_side, LaneBlock& block,
+                       double* out) {
+  const double* d = du.data();
+  const char* side = u_side.data();
+  lane_sums(du.size(), block, out,
+            [d, side](std::size_t t, double w, double dxt) {
+              return side[t] != 0 ? d[t] : w + dxt;
+            });
+}
+
+/// alpha-free total weight of (S_u \ {remove}) ∪ {add} from the scan's owned
+/// (target, weight) list, summed in increasing-target order (exactly the
+/// naive NodeSet::for_each order, so integer-weight hosts match the naive
+/// path bit-for-bit).  Pass -1 to skip either part; `add` must not already
+/// be in S_u.
+double strategy_weight(const ScratchArena::ScanScratch& scan, int remove,
+                       int add, double add_weight) {
+  double total = 0.0;
+  bool added = add < 0;
+  for (std::size_t i = 0; i < scan.owned.size(); ++i) {
+    const int v = scan.owned[i];
+    if (v == remove) continue;
+    if (!added && add < v) {
+      total += add_weight;
+      added = true;
+    }
+    total += scan.owned_w[i];
+  }
+  if (!added) total += add_weight;
+  return total;
+}
+
 }  // namespace
 
 DeviationEngine::DeviationEngine(const Game& game, StrategyProfile profile)
@@ -247,24 +333,10 @@ double DeviationEngine::distance_cost_warm(int u) const {
   return warmed(u).dist_sum;
 }
 
-double DeviationEngine::strategy_weight(int u, int remove, int add) const {
-  double total = 0.0;
-  bool added = add < 0;
-  const double add_weight = add >= 0 ? game_->weight(u, add) : 0.0;
-  profile_.strategy(u).for_each([&](int v) {
-    if (v == remove) return;
-    if (!added && add < v) {
-      total += add_weight;
-      added = true;
-    }
-    total += game_->weight(u, v);
-  });
-  if (!added) total += add_weight;
-  return total;
-}
-
 double DeviationEngine::buying_cost(int u) const {
-  return game_->alpha() * strategy_weight(u, -1, -1);
+  double total = 0.0;
+  profile_.strategy(u).for_each([&](int v) { total += game_->weight(u, v); });
+  return game_->alpha() * total;
 }
 
 double DeviationEngine::agent_cost(int u) {
@@ -275,27 +347,11 @@ double DeviationEngine::agent_cost_warm(int u) const {
   return buying_cost(u) + distance_cost_warm(u);
 }
 
-double DeviationEngine::addition_distance_cost(int u, int x) {
-  ensure(u);
-  ensure(x);
-  return addition_distance_cost_warm(u, x);
-}
-
-double DeviationEngine::addition_distance_cost_warm(int u, int x) const {
-  const auto& du = warmed(u).dist;
-  const auto& dx = warmed(x).dist;
-  const double w = game_->weight(u, x);
-  double total = 0.0;
-  for (std::size_t t = 0; t < du.size(); ++t)
-    total += std::min(du[t], w + dx[t]);
-  return total;
-}
-
 bool DeviationEngine::mark_reachable_without(int u, int v,
                                              std::vector<char>& mark) const {
   const int n = game_->node_count();
   mark.assign(static_cast<std::size_t>(n), 0);
-  std::vector<int>& stack = worker_arena().dfs_stack();
+  std::vector<int>& stack = worker_arena().scan().dfs_stack;
   stack.clear();
   mark[idx(u)] = 1;
   stack.push_back(u);
@@ -313,23 +369,8 @@ bool DeviationEngine::mark_reachable_without(int u, int v,
   return mark[idx(v)] != 0;
 }
 
-double DeviationEngine::bridge_swap_distance_cost(
-    int u, int x, const std::vector<char>& u_side) const {
-  // Deleting bridge (u,v) splits the network into the side reachable from u
-  // (u_side) and the rest; distances within each side are untouched, and
-  // after adding (u,x) every far-side node t is reached as u -> x ~> t.
-  const auto& du = warmed(u).dist;
-  const auto& dx = warmed(x).dist;
-  const double w = game_->weight(u, x);
-  double total = 0.0;
-  for (std::size_t t = 0; t < du.size(); ++t)
-    total += u_side[t] != 0 ? du[t] : w + dx[t];
-  return total;
-}
-
-double DeviationEngine::masked_distance_cost(int u, int remove,
-                                             int add) const {
-  const double add_weight = add >= 0 ? game_->weight(u, add) : 0.0;
+double DeviationEngine::masked_distance_cost(int u, int remove, int add,
+                                             double add_weight) const {
   return arena_sssp_sum(
       game_->node_count(), u, dial_bound_, [&](int y, auto&& visit) {
         for (const auto& nb : adjacency_.neighbors(y)) {
@@ -369,9 +410,22 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
   const int n = game_->node_count();
   const double alpha = game_->alpha();
   const AgentCache& cu = warmed(u);
+  // Per-scan tables live in the calling worker's arena, so parallel warm
+  // scans never collide and steady-state scans allocate nothing.
+  ScratchArena::ScanScratch& scan = worker_arena().scan();
+
+  // u's owned (target, weight) list, built once: every candidate's edge
+  // cost sums it instead of re-querying the host per owned edge.
+  scan.owned.clear();
+  scan.owned_w.clear();
+  profile_.strategy(u).for_each([&](int v) {
+    scan.owned.push_back(v);
+    scan.owned_w.push_back(game_->weight(u, v));
+  });
 
   SingleMoveResult result;
-  result.current_cost = alpha * strategy_weight(u, -1, -1) + cu.dist_sum;
+  result.current_cost =
+      alpha * strategy_weight(scan, -1, -1, 0.0) + cu.dist_sum;
   result.cost = result.current_cost;
 
   const auto consider = [&](MoveType type, int remove, int add, double cost) {
@@ -381,84 +435,127 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
       result.improved = true;
     }
   };
-  // Delta evaluation of an addition from cached vectors; the u-and-x loop
-  // below never passes an x whose built edge already exists, so the warmed
-  // caches of u and x fully determine the new distances.
+
+  // w(u, x), queried once per x on first need: x_weight[y] is valid for
+  // every y < weighed.
+  scan.x_weight.resize(static_cast<std::size_t>(n));
+  int weighed = 0;
+  const auto buyable = [&](int x) {
+    for (; weighed <= x; ++weighed)
+      scan.x_weight[idx(weighed)] = game_->weight(u, weighed);
+    return x != u && scan.x_weight[idx(x)] < kInf;
+  };
+  // Addition distance cost of every buyable x with no built edge (u, x),
+  // from the cached vectors of u and x (no such edge exists, so they fully
+  // determine the new distances).  The add branch, the doubly-owned swap
+  // and the non-bridge swap bound all read it, so it is computed once per
+  // scan, kLanes candidates per kernel pass in increasing x: add_cost[y] is
+  // valid for every such y < costed.
+  scan.add_cost.resize(static_cast<std::size_t>(n));
+  int costed = 0;
   const auto addition_cost = [&](int x) {
-    return addition_distance_cost_warm(u, x);
+    while (costed <= x) {
+      LaneBlock block;
+      for (; costed < n && !block.full(); ++costed)
+        if (buyable(costed) && !profile_.has_edge(u, costed))
+          block.push(costed, warmed(costed).dist.data(),
+                     scan.x_weight[idx(costed)]);
+      if (block.size == 0) break;
+      double out[kLanes];
+      addition_costs(cu.dist, block, out);
+      for (int l = 0; l < block.size; ++l)
+        scan.add_cost[idx(block.x[l])] = out[l];
+    }
+    return scan.add_cost[idx(x)];
+  };
+  const auto edge_cost = [&](int remove, int x) {
+    return alpha * strategy_weight(scan, remove, x, scan.x_weight[idx(x)]);
   };
 
   if (flags.adds) {
     for (int x = 0; x < n; ++x) {
-      if (x == u || !game_->can_buy(u, x) || profile_.has_edge(u, x)) continue;
-      consider(MoveType::kAdd, -1, x,
-               alpha * strategy_weight(u, -1, x) + addition_cost(x));
+      if (!buyable(x) || profile_.has_edge(u, x)) continue;
+      consider(MoveType::kAdd, -1, x, edge_cost(-1, x) + addition_cost(x));
       if (early_exit && result.improved) return result;
     }
   }
 
   if (flags.deletes || flags.swaps) {
-    // Arena-backed scratch: the owned-target list replaces a per-scan
-    // to_vector() allocation, the side-mark buffer a per-scan vector.  Both
-    // belong to the calling worker, so parallel warm scans never collide.
-    ScratchArena& arena = worker_arena();
-    std::vector<int>& owned = arena.owned_targets();
-    owned.clear();
-    profile_.strategy(u).for_each([&](int v) { owned.push_back(v); });
-    std::vector<char>& u_side = arena.side_mark();
-    for (int v : owned) {
+    std::vector<char>& u_side = scan.side_mark;
+    for (const int v : scan.owned) {
       // If v buys the edge too, dropping u's payment keeps the topology.
       const bool doubly = profile_.buys(v, u);
       const bool bridge = !doubly && !mark_reachable_without(u, v, u_side);
 
       if (flags.deletes) {
+        const double drop_cost = alpha * strategy_weight(scan, v, -1, 0.0);
         if (doubly) {
-          consider(MoveType::kDelete, v, -1,
-                   alpha * strategy_weight(u, v, -1) + cu.dist_sum);
+          consider(MoveType::kDelete, v, -1, drop_cost + cu.dist_sum);
         } else if (!bridge) {
           // Removing an edge cannot shrink any distance, so the current
           // distance sum is an admissible bound: run Dijkstra only when the
           // alpha saving alone could beat the incumbent.
-          const double edge_cost = alpha * strategy_weight(u, v, -1);
-          if (improves(edge_cost + cu.dist_sum, result.cost)) {
+          if (improves(drop_cost + cu.dist_sum, result.cost)) {
             consider(MoveType::kDelete, v, -1,
-                     edge_cost + masked_distance_cost(u, v, -1));
+                     drop_cost + masked_distance_cost(u, v, -1, 0.0));
           }
         }
         // Deleting a bridge disconnects u: cost kInf, never improving.
         if (early_exit && result.improved) return result;
       }
+      if (!flags.swaps) continue;
 
-      if (flags.swaps) {
-        for (int x = 0; x < n; ++x) {
-          if (x == u || x == v || !game_->can_buy(u, x)) continue;
-          // Swapping to an already-present edge is dominated by the plain
-          // deletion, so such x are skipped when deletions are in the move
-          // set; swap-only scans must consider them (see scan semantics in
-          // best_response.cpp).
-          if (flags.deletes && profile_.has_edge(u, x)) continue;
-          if (!flags.deletes && profile_.strategy(u).contains(x)) continue;
-          const bool duplicate = profile_.has_edge(u, x);
-          const double edge_cost = alpha * strategy_weight(u, v, x);
-          double cost;
-          if (doubly) {
-            // The deleted edge stays built; the swap is a pure addition.
-            cost = edge_cost + (duplicate ? cu.dist_sum : addition_cost(x));
-          } else if (bridge) {
-            if (u_side[idx(x)] != 0) continue;  // still disconnected: kInf
-            cost = edge_cost + bridge_swap_distance_cost(u, x, u_side);
-          } else {
-            // Distances in G - (u,v) + (u,x) are bounded below by distances
-            // in G + (u,x) (deleting only hurts), which the cached vectors
-            // evaluate in O(n); Dijkstra runs only past that bound.
-            const double dist_bound =
-                duplicate ? cu.dist_sum : addition_cost(x);
-            if (!improves(edge_cost + dist_bound, result.cost)) continue;
-            cost = edge_cost + masked_distance_cost(u, v, x);
+      // Swapping to an already-present edge is dominated by the plain
+      // deletion, so such x are skipped when deletions are in the move set;
+      // swap-only scans must consider them (see scan semantics in
+      // best_response.cpp).
+      const auto swap_target = [&](int x) {
+        if (x == v || !buyable(x)) return false;
+        return flags.deletes ? !profile_.has_edge(u, x)
+                             : !profile_.strategy(u).contains(x);
+      };
+      if (bridge) {
+        // Only far-side x reconnect u (u-side x leave it cut off: kInf).
+        // Their costs are lane-batched; consider() still runs in x order.
+        LaneBlock block;
+        const auto flush = [&] {
+          double out[kLanes];
+          bridge_swap_costs(cu.dist, u_side, block, out);
+          for (int l = 0; l < block.size; ++l) {
+            const int x = block.x[l];
+            consider(MoveType::kSwap, v, x, edge_cost(v, x) + out[l]);
+            if (early_exit && result.improved) return true;
           }
-          consider(MoveType::kSwap, v, x, cost);
-          if (early_exit && result.improved) return result;
+          block.size = 0;
+          return false;
+        };
+        for (int x = 0; x < n; ++x) {
+          if (!swap_target(x) || u_side[idx(x)] != 0) continue;
+          block.push(x, warmed(x).dist.data(), scan.x_weight[idx(x)]);
+          if (block.full() && flush()) return result;
         }
+        if (block.size > 0 && flush()) return result;
+        continue;
+      }
+      for (int x = 0; x < n; ++x) {
+        if (!swap_target(x)) continue;
+        const double swap_edges = edge_cost(v, x);
+        const double added_dist =
+            profile_.has_edge(u, x) ? cu.dist_sum : addition_cost(x);
+        double cost;
+        if (doubly) {
+          // The deleted edge stays built; the swap is a pure addition.
+          cost = swap_edges + added_dist;
+        } else {
+          // Distances in G - (u,v) + (u,x) are bounded below by distances
+          // in G + (u,x) (deleting only hurts), which the cached vectors
+          // evaluate in O(n); Dijkstra runs only past that bound.
+          if (!improves(swap_edges + added_dist, result.cost)) continue;
+          cost = swap_edges +
+                 masked_distance_cost(u, v, x, scan.x_weight[idx(x)]);
+        }
+        consider(MoveType::kSwap, v, x, cost);
+        if (early_exit && result.improved) return result;
       }
     }
   }

@@ -16,7 +16,8 @@
 //  * Single-move deviations are evaluated by *delta* where an exact closed
 //    form exists, and by a buffer-reusing Dijkstra otherwise:
 //      - addition (u,x):  d'(u,t) = min(d(u,t), w(u,x) + d(x,t)) over the
-//        cached vectors of u and x -- O(n) per candidate, no Dijkstra;
+//        cached vectors of u and x -- O(n) per candidate, no Dijkstra,
+//        computed once per scan and reused by the swap branches;
 //      - deleting a *bridge* (and swapping it for (u,x)): the graph splits
 //        into the side reachable from u and the rest, and distances on each
 //        side are unchanged, so the swap re-costs from cached vectors plus
@@ -25,6 +26,10 @@
 //        the engine adjacency with per-worker arena scratch (support/
 //        arena.hpp), pruned by the admissible bound "distances cannot
 //        shrink when an edge is removed".
+//    The two O(n) delta forms run in one lane-batched kernel: each pass over
+//    t evaluates a block of candidate targets, every lane adding in
+//    increasing t into its own accumulator, so each candidate's sum is
+//    bitwise the one-candidate loop's.
 //
 // All SSSP work runs over a flat CSR adjacency slab (graph/csr_adjacency.hpp)
 // and draws every scratch buffer from the calling worker's ScratchArena, so
@@ -53,8 +58,8 @@
 // dynamics cycle detection reads a fingerprint per step instead of
 // rehashing the profile.
 //
-// Host weights are queried per candidate through Game::weight, i.e. the
-// host-metric backend (metric/host_backend.hpp): stable, const and
+// Host weights are queried once per candidate per scan through Game::weight,
+// i.e. the host-metric backend (metric/host_backend.hpp): stable, const and
 // thread-safe, O(1) on dense hosts and O(d)/O(1) on implicit geometric
 // ones -- which is what lets a euclidean n=4096 sweep run without any
 // O(n^2) host matrix existing.
@@ -144,10 +149,6 @@ class DeviationEngine {
 
   // --- move evaluation ---
 
-  /// Distance cost of agent u after buying the extra edge (u,x), from the
-  /// cached vectors of u and x: sum_t min(d(u,t), w(u,x) + d(x,t)).
-  double addition_distance_cost(int u, int x);
-
   /// Best single move / addition / swap of agent u.  Same semantics, scan
   /// order and tie-breaking as the naive free functions.
   SingleMoveResult best_single_move(int u);
@@ -212,34 +213,26 @@ class DeviationEngine {
   /// (the caller decides how many epoch bumps the batch pays).
   bool replace_strategy_edges(int u, const NodeSet& next);
 
-  /// alpha-free total weight of (S_u \ {remove}) ∪ {add} summed in
-  /// increasing-target order (exactly the naive NodeSet::for_each order, so
-  /// integer-weight hosts match the naive path bit-for-bit).  Pass -1 to
-  /// skip either part; `add` must not already be in S_u.
-  double strategy_weight(int u, int remove, int add) const;
-
   const AgentCache& warmed(int u) const;
   const AgentCache& ensure(int u);
-
-  /// Warm-cache body of addition_distance_cost (shared with scan_moves).
-  double addition_distance_cost_warm(int u, int x) const;
 
   /// Marks the nodes reachable from u in the built network minus edge (u,v)
   /// into `mark`; returns true when v is still reachable (the edge is not a
   /// bridge).
   bool mark_reachable_without(int u, int v, std::vector<char>& mark) const;
 
-  /// Distance cost of u after swapping bridge (u,v) for (u,x): cached u-side
-  /// distances plus w(u,x) + cached x-distances on the far side.
-  double bridge_swap_distance_cost(int u, int x,
-                                   const std::vector<char>& u_side) const;
-
   /// Dijkstra distance cost of u with edge (u,remove) masked out of the
-  /// adjacency and, when add >= 0, edge (u,add) visited additionally.
-  double masked_distance_cost(int u, int remove, int add) const;
+  /// adjacency and, when add >= 0, edge (u,add) of weight `add_weight`
+  /// visited additionally.
+  double masked_distance_cost(int u, int remove, int add,
+                              double add_weight) const;
 
   /// Shared single-move scan (const: caches must be warm).  With
   /// `early_exit` the scan stops at the first improving candidate.
+  /// Candidate delta sums are lane-batched (several targets x per pass over
+  /// the distance rows, each summed in its own increasing-t order), but
+  /// candidates are considered one by one in increasing x, so results,
+  /// tie-breaking and early exit match a one-candidate-at-a-time scan.
   SingleMoveResult scan_moves(int u, const ScanFlags& flags,
                               bool early_exit) const;
 

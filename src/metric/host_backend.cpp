@@ -201,6 +201,7 @@ void EuclideanHostBackend::ensure_sums() const {
       for (double d : row) total += d;
       sums_[static_cast<std::size_t>(u)] = total;
     }
+    sums_ready_.store(true, std::memory_order_release);
   });
 }
 
@@ -208,6 +209,10 @@ double EuclideanHostBackend::host_distance_sum(int u) const {
   ensure_sums();
   GNCG_DASSERT(u >= 0 && u < points_.size());
   return sums_[static_cast<std::size_t>(u)];
+}
+
+bool EuclideanHostBackend::sums_computed() const {
+  return sums_ready_.load(std::memory_order_acquire);
 }
 
 void EuclideanHostBackend::ensure_index() const {

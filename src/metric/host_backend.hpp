@@ -217,6 +217,10 @@ class EuclideanHostBackend final : public HostBackend {
   /// the first restricted candidate_targets query.
   const SpatialIndex* spatial_index() const;
 
+  /// True once the O(n^2 d) per-node distance sums have been computed (by
+  /// the first host_distance_sum query); observability for tests/benches.
+  bool sums_computed() const;
+
  private:
   void ensure_sums() const;
   void ensure_index() const;
@@ -225,6 +229,7 @@ class EuclideanHostBackend final : public HostBackend {
   double p_;
   mutable std::once_flag sums_once_;
   mutable std::vector<double> sums_;
+  mutable std::atomic<bool> sums_ready_{false};
   mutable std::once_flag index_once_;
   mutable std::unique_ptr<SpatialIndex> index_;
 };

@@ -11,9 +11,11 @@ std::size_t ScratchArena::footprint_bytes() const {
   std::size_t total = dijkstra_.footprint_bytes() + dial_.footprint_bytes() +
                       sssp_.footprint_bytes();
   total += sum_dist_.capacity() * sizeof(double);
-  total += owned_targets_.capacity() * sizeof(int);
-  total += side_mark_.capacity() * sizeof(char);
-  total += dfs_stack_.capacity() * sizeof(int);
+  total += (scan_.owned.capacity() + scan_.dfs_stack.capacity()) * sizeof(int);
+  total += (scan_.owned_w.capacity() + scan_.x_weight.capacity() +
+            scan_.add_cost.capacity()) *
+           sizeof(double);
+  total += scan_.side_mark.capacity() * sizeof(char);
   total += br_.order.capacity() * sizeof(std::pair<double, int>);
   total += br_.candidates.capacity() * sizeof(int);
   total += (br_.weights.capacity() + br_.base_dist.capacity() +

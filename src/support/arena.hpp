@@ -8,8 +8,9 @@
 //
 //   * the binary-heap and bucket-queue Dijkstra workspaces,
 //   * the IncrementalSssp instance best-response branches repair,
-//   * the deviation engine's scan scratch (owned-target list, side marks,
-//     DFS stack, distance-sum vector),
+//   * the deviation engine's scan scratch (owned-target and weight lists,
+//     per-candidate weight and addition-cost tables, side marks, DFS stack,
+//     distance-sum vector),
 //   * the best-response driver's candidate/weight/base-distance rows.
 //
 // `worker_arena()` hands the calling thread its arena, creating and
@@ -54,16 +55,20 @@ class ScratchArena {
   std::vector<double>& sum_dist() { return sum_dist_; }
 
   // --- deviation-engine scan scratch ---
+  //
+  // Per-scan tables of DeviationEngine::scan_moves.  The scan's masked
+  // Dijkstra fallbacks draw on the SSSP workspaces and sum_dist above, never
+  // on these, so the two partitions are live together without aliasing.
 
-  /// Owned purchase targets of the scanning agent (replaces per-scan
-  /// NodeSet::to_vector()).
-  std::vector<int>& owned_targets() { return owned_targets_; }
-
-  /// Per-node side/reachability marks for bridge detection.
-  std::vector<char>& side_mark() { return side_mark_; }
-
-  /// Explicit DFS stack for reachability sweeps.
-  std::vector<int>& dfs_stack() { return dfs_stack_; }
+  struct ScanScratch {
+    std::vector<int> owned;         ///< scanning agent's targets, increasing
+    std::vector<double> owned_w;    ///< w(u, v) per owned target
+    std::vector<double> x_weight;   ///< w(u, x) by node id
+    std::vector<double> add_cost;   ///< addition distance cost by node id
+    std::vector<char> side_mark;    ///< reachability marks (bridge detection)
+    std::vector<int> dfs_stack;     ///< explicit DFS stack for reachability
+  };
+  ScanScratch& scan() { return scan_; }
 
   // --- best-response driver scratch ---
 
@@ -106,9 +111,7 @@ class ScratchArena {
   DialBuffers dial_;
   IncrementalSssp sssp_;
   std::vector<double> sum_dist_;
-  std::vector<int> owned_targets_;
-  std::vector<char> side_mark_;
-  std::vector<int> dfs_stack_;
+  ScanScratch scan_;
   BrScratch br_;
   LadderScratch ladder_;
 };

@@ -3,7 +3,7 @@
 // grid k-NN against brute force, the shortlist-restricted exact search
 // against the naive baseline (bitwise at full coverage), the ladder's
 // certificates (upper bound, admissible lower bound, certified exactness),
-// and the euclidean backend's dial opt-out.
+// and the euclidean backend's dial opt-out and untouched distance sums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -506,6 +506,30 @@ TEST(EuclideanBackend, DialCapabilityStaysUncertified) {
   }
   // Contrast: the unit host certifies bound 1 (the dial fast path).
   EXPECT_EQ(HostGraph::unit(8).dial_weight_bound(), 1);
+}
+
+TEST(EuclideanBackend, SearchesLeaveTheHostSumsUntouched) {
+  // br_search's global floor sums the host row it already filled, so
+  // neither the exact search nor the ladder (whose tier 2 nests it) may
+  // trigger the backend's O(n^2 d) per-node distance-sum pass.
+  Rng rng(127);
+  for (double p : {1.0, 2.0, kPNormInf}) {
+    const Game game = random_euclidean_game(10, 1.5, p, rng);
+    const auto& backend =
+        dynamic_cast<const EuclideanHostBackend&>(game.host().backend());
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, 3, rng);
+    ApproxBrOptions options;
+    options.budget = 4;
+    for (int u = 0; u < game.node_count(); ++u) {
+      exact_best_response(game, profile, u);
+      approx_best_response_ladder(game, profile, u, options);
+    }
+    EXPECT_FALSE(backend.sums_computed()) << "p=" << p;
+    // The probe itself observes the first sums query.
+    game.host_distance_sum(0);
+    EXPECT_TRUE(backend.sums_computed()) << "p=" << p;
+  }
 }
 
 }  // namespace

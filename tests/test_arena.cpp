@@ -23,6 +23,7 @@
 #include "core/profile_gen.hpp"
 #include "graph/dijkstra.hpp"
 #include "metric/host_graph.hpp"
+#include "metric/points.hpp"
 #include "support/arena.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -107,6 +108,42 @@ TEST(ArenaProbe, SteadyStateMoveEvaluationDoesNotAllocate) {
   // Same mutations, same caches -> identical results (and the compiler
   // cannot elide the probe loop).
   EXPECT_DOUBLE_EQ(checksum_probe, checksum_first);
+  set_default_thread_count(0);
+}
+
+TEST(ArenaProbe, WarmSingleMoveScansDoNotAllocate) {
+  // The lane-batched scan path on a real-weighted host: heap Dijkstra
+  // fallbacks, bridge swaps (tree part of the profile) and the per-scan
+  // weight / addition-cost tables, over enough agents and targets that the
+  // kernel runs full and partial blocks.
+  set_default_thread_count(1);
+  Rng rng(20261017);
+  const int n = 37;
+  const Game game(HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0),
+                  /*alpha=*/40.0);
+  DeviationEngine engine(game, random_profile(game, rng, 0.05));
+  ASSERT_FALSE(engine.dial_enabled());
+  engine.warm_distances();
+
+  auto loop = [&]() {
+    double checksum = 0.0;
+    for (int a = 0; a < n; ++a) {
+      checksum += engine.best_single_move_warm(a).cost;
+      checksum += engine.best_addition_warm(a).cost;
+      checksum += engine.best_swap_warm(a).cost;
+    }
+    return checksum;
+  };
+  const double checksum_first = loop();  // warm-up: arena reaches capacity
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  double checksum_probe = 0.0;
+  for (int i = 0; i < 3; ++i) checksum_probe = loop();
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << "warm best_single_move_warm loop performed heap allocations";
+  EXPECT_EQ(checksum_probe, checksum_first);
   set_default_thread_count(0);
 }
 

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -23,7 +25,10 @@
 #include "core/deviation_engine.hpp"
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
+#include "graph/dijkstra.hpp"
 #include "metric/host_graph.hpp"
+#include "metric/points.hpp"
+#include "metric/tree.hpp"
 #include "support/rng.hpp"
 
 namespace gncg {
@@ -243,6 +248,259 @@ TEST(DeviationEngineDifferential, EquilibriumPredicatesMatchNaiveScans) {
     EXPECT_EQ(is_add_only_equilibrium(game, profile), naive_ae);
     EXPECT_EQ(is_swap_equilibrium(game, profile), naive_se);
   }
+}
+
+// --- lane-batched scans vs the frozen scalar scan ---------------------------
+//
+// The engine evaluates candidate deltas kLanes targets per pass over the
+// distance rows.  The contract is that batching changes nothing: below is a
+// frozen copy of the scalar one-candidate-at-a-time scan it replaced, built
+// on the engine's public warm state only, and every scan family must match
+// it on the bits of each cost and on the chosen move.
+
+struct ScanFamily {
+  bool adds, deletes, swaps;
+};
+
+/// alpha-free weight of (S_u \ {remove}) ∪ {add} in increasing target order.
+double reference_strategy_weight(const Game& game, const StrategyProfile& s,
+                                 int u, int remove, int add) {
+  double total = 0.0;
+  bool added = add < 0;
+  const double add_weight = add >= 0 ? game.weight(u, add) : 0.0;
+  s.strategy(u).for_each([&](int v) {
+    if (v == remove) return;
+    if (!added && add < v) {
+      total += add_weight;
+      added = true;
+    }
+    total += game.weight(u, v);
+  });
+  if (!added) total += add_weight;
+  return total;
+}
+
+/// Distance sum of u with edge (u, remove) masked and (u, add) added.
+double reference_masked_cost(const DeviationEngine& engine, int u, int remove,
+                             int add) {
+  const Game& game = engine.game();
+  const double add_weight = add >= 0 ? game.weight(u, add) : 0.0;
+  std::vector<double> dist;
+  dijkstra_over(
+      game.node_count(), u,
+      [&](int y, auto&& visit) {
+        for (const auto& nb : engine.adjacency().neighbors(y)) {
+          if ((y == u && nb.to == remove) || (y == remove && nb.to == u))
+            continue;
+          visit(nb.to, nb.weight);
+        }
+        if (add >= 0) {
+          if (y == u) visit(add, add_weight);
+          else if (y == add) visit(u, add_weight);
+        }
+      },
+      dist);
+  double total = 0.0;
+  for (double d : dist) total += d;
+  return total;
+}
+
+/// Marks the nodes reachable from u without edge (u, v); true if v is.
+bool reference_reachable_without(const DeviationEngine& engine, int u, int v,
+                                 std::vector<char>& mark) {
+  mark.assign(static_cast<std::size_t>(engine.game().node_count()), 0);
+  std::vector<int> stack{u};
+  mark[static_cast<std::size_t>(u)] = 1;
+  while (!stack.empty()) {
+    const int y = stack.back();
+    stack.pop_back();
+    for (const auto& nb : engine.adjacency().neighbors(y)) {
+      if ((y == u && nb.to == v) || (y == v && nb.to == u)) continue;
+      if (!mark[static_cast<std::size_t>(nb.to)]) {
+        mark[static_cast<std::size_t>(nb.to)] = 1;
+        stack.push_back(nb.to);
+      }
+    }
+  }
+  return mark[static_cast<std::size_t>(v)] != 0;
+}
+
+/// The scalar scan, frozen: one candidate per O(n) loop, each loop a single
+/// increasing-t `total +=` chain.  Requires warm engine caches.
+SingleMoveResult reference_scan(const DeviationEngine& engine, int u,
+                                const ScanFamily& flags, bool early_exit) {
+  const Game& game = engine.game();
+  const StrategyProfile& profile = engine.profile();
+  const int n = game.node_count();
+  const double alpha = game.alpha();
+  const std::vector<double>& du = engine.distances_warm(u);
+  const double dist_sum = engine.distance_cost_warm(u);
+
+  SingleMoveResult result;
+  result.current_cost =
+      alpha * reference_strategy_weight(game, profile, u, -1, -1) + dist_sum;
+  result.cost = result.current_cost;
+  const auto consider = [&](MoveType type, int remove, int add, double cost) {
+    if (improves(cost, result.cost)) {
+      result.cost = cost;
+      result.move = {type, remove, add};
+      result.improved = true;
+    }
+  };
+  const auto addition_cost = [&](int x) {
+    const std::vector<double>& dx = engine.distances_warm(x);
+    const double w = game.weight(u, x);
+    double total = 0.0;
+    for (std::size_t t = 0; t < du.size(); ++t)
+      total += std::min(du[t], w + dx[t]);
+    return total;
+  };
+
+  if (flags.adds) {
+    for (int x = 0; x < n; ++x) {
+      if (x == u || !game.can_buy(u, x) || profile.has_edge(u, x)) continue;
+      consider(MoveType::kAdd, -1, x,
+               alpha * reference_strategy_weight(game, profile, u, -1, x) +
+                   addition_cost(x));
+      if (early_exit && result.improved) return result;
+    }
+  }
+  if (!flags.deletes && !flags.swaps) return result;
+
+  const std::vector<int> owned = profile.strategy(u).to_vector();
+  std::vector<char> u_side;
+  for (int v : owned) {
+    const bool doubly = profile.buys(v, u);
+    const bool bridge =
+        !doubly && !reference_reachable_without(engine, u, v, u_side);
+    if (flags.deletes) {
+      const double edge_cost =
+          alpha * reference_strategy_weight(game, profile, u, v, -1);
+      if (doubly) {
+        consider(MoveType::kDelete, v, -1, edge_cost + dist_sum);
+      } else if (!bridge && improves(edge_cost + dist_sum, result.cost)) {
+        consider(MoveType::kDelete, v, -1,
+                 edge_cost + reference_masked_cost(engine, u, v, -1));
+      }
+      if (early_exit && result.improved) return result;
+    }
+    if (!flags.swaps) continue;
+    for (int x = 0; x < n; ++x) {
+      if (x == u || x == v || !game.can_buy(u, x)) continue;
+      if (flags.deletes && profile.has_edge(u, x)) continue;
+      if (!flags.deletes && profile.strategy(u).contains(x)) continue;
+      const bool duplicate = profile.has_edge(u, x);
+      const double edge_cost =
+          alpha * reference_strategy_weight(game, profile, u, v, x);
+      double cost;
+      if (doubly) {
+        cost = edge_cost + (duplicate ? dist_sum : addition_cost(x));
+      } else if (bridge) {
+        if (u_side[static_cast<std::size_t>(x)] != 0) continue;
+        const std::vector<double>& dx = engine.distances_warm(x);
+        const double w = game.weight(u, x);
+        double total = 0.0;
+        for (std::size_t t = 0; t < du.size(); ++t)
+          total += u_side[t] != 0 ? du[t] : w + dx[t];
+        cost = edge_cost + total;
+      } else {
+        const double bound = duplicate ? dist_sum : addition_cost(x);
+        if (!improves(edge_cost + bound, result.cost)) continue;
+        cost = edge_cost + reference_masked_cost(engine, u, v, x);
+      }
+      consider(MoveType::kSwap, v, x, cost);
+      if (early_exit && result.improved) return result;
+    }
+  }
+  return result;
+}
+
+/// Same bits on both costs and the same move.
+void expect_bitwise(const SingleMoveResult& got, const SingleMoveResult& ref) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cost),
+            std::bit_cast<std::uint64_t>(ref.cost));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.current_cost),
+            std::bit_cast<std::uint64_t>(ref.current_cost));
+  EXPECT_EQ(got.improved, ref.improved);
+  EXPECT_EQ(got.move.type, ref.move.type);
+  EXPECT_EQ(got.move.remove, ref.move.remove);
+  EXPECT_EQ(got.move.add, ref.move.add);
+}
+
+/// Every warm scan family and existence predicate of every agent vs the
+/// frozen scalar scan.  Returns how many agents had an improving move.
+int compare_with_reference(const Game& game, const StrategyProfile& profile) {
+  DeviationEngine engine(game, profile);
+  engine.warm_distances();
+  constexpr ScanFamily kSingle{true, true, true};
+  constexpr ScanFamily kAdd{true, false, false};
+  constexpr ScanFamily kSwap{false, false, true};
+  int improving = 0;
+  for (int u = 0; u < game.node_count(); ++u) {
+    SCOPED_TRACE(::testing::Message() << "agent " << u);
+    const SingleMoveResult single = engine.best_single_move_warm(u);
+    expect_bitwise(single, reference_scan(engine, u, kSingle, false));
+    expect_bitwise(engine.best_addition_warm(u),
+                   reference_scan(engine, u, kAdd, false));
+    expect_bitwise(engine.best_swap_warm(u),
+                   reference_scan(engine, u, kSwap, false));
+    EXPECT_EQ(engine.has_improving_single_move(u),
+              reference_scan(engine, u, kSingle, true).improved);
+    EXPECT_EQ(engine.has_improving_addition(u),
+              reference_scan(engine, u, kAdd, true).improved);
+    EXPECT_EQ(engine.has_improving_swap(u),
+              reference_scan(engine, u, kSwap, true).improved);
+    if (single.improved) ++improving;
+  }
+  return improving;
+}
+
+TEST(DeviationEngineLanes, ScansMatchFrozenScalarScanBitwise) {
+  // Sizes around the lane width: 5 and 17 leave partial blocks, 63 and 64
+  // straddle a multiple of it.  Hosts: euclidean under p = 1, 2, inf (real
+  // weights, where any re-association would show in the bits), dense
+  // integer and tree metrics.  Profiles: spanning trees (every edge a
+  // bridge) and trees plus chords with doubly-owned edges (Dijkstra
+  // fallbacks, doubly-owned deletes/swaps, swaps onto existing edges).
+  Rng rng(909);
+  int improving = 0, agents = 0;
+  for (int n : {5, 17, 63, 64}) {
+    for (int host = 0; host < 5; ++host) {
+      const double alpha = rng.uniform_real(0.3, 3.0) * n;
+      HostGraph graph = [&] {
+        switch (host) {
+          case 0:
+          case 1:
+          case 2: {
+            const double p = host == 0 ? 1.0 : host == 1 ? 2.0 : kPNormInf;
+            return HostGraph::from_points(uniform_points(n, 2, 100.0, rng), p);
+          }
+          case 3:
+            return random_integer_host(n, rng);
+          default:
+            return HostGraph::from_tree(random_tree(n, rng));
+        }
+      }();
+      const Game game(std::move(graph), alpha);
+      for (int shape = 0; shape < 2; ++shape) {
+        SCOPED_TRACE(::testing::Message() << "n " << n << " host " << host
+                                          << " shape " << shape);
+        StrategyProfile profile = random_profile(game, rng, 0.3 * shape);
+        if (shape == 1) {
+          for (int u = 0; u < n; ++u)
+            for (int v = 0; v < n; ++v)
+              if (u != v && profile.buys(u, v) && rng.bernoulli(0.3))
+                profile.add_buy(v, u);
+        }
+        improving += compare_with_reference(game, profile);
+        agents += n;
+      }
+    }
+  }
+  // Both outcomes must be exercised: improving scans (early exits, moves)
+  // and scans that run to the end without finding one.
+  EXPECT_GT(improving, 0);
+  EXPECT_LT(improving, agents);
 }
 
 TEST(DeviationEngine, DistanceCachesSurviveOwnershipOnlyMutations) {

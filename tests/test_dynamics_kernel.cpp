@@ -419,6 +419,42 @@ TEST(ParallelMgm, OneShardDegeneratesToSequentialMaxGain) {
   EXPECT_TRUE(mgm_run.final_profile == ref_run.final_profile);
 }
 
+TEST(ParallelMgm, MoveBudgetEndsInsideARoundAtExactlyMaxMoves) {
+  Rng rng(4053);
+  const Game game(random_one_two_host(24, 0.5, rng), 1.5);
+  const StrategyProfile start = random_profile(game, rng);
+  DynamicsOptions options;
+  options.rule = MoveRule::kBestSingleMove;
+  options.scheduler = SchedulerKind::kParallelMgm;
+  options.mgm_shards = 8;
+  options.max_moves = 600;
+  options.seed = 3;
+  const auto full = run_dynamics(game, start, options);
+  ASSERT_TRUE(full.converged);
+
+  // Cut the budget right after the first move of the first round that
+  // commits more than one: the run must stop at exactly max_moves, on a
+  // prefix of that round in commit order.
+  std::size_t cut = 0;
+  while (cut + 1 < full.steps.size() &&
+         full.steps[cut].round != full.steps[cut + 1].round)
+    ++cut;
+  ASSERT_LT(cut + 1, full.steps.size()) << "no multi-commit round";
+  options.max_moves = cut + 1;
+  const auto cut_run = run_dynamics(game, start, options);
+  EXPECT_EQ(cut_run.moves, options.max_moves);
+  EXPECT_FALSE(cut_run.converged);
+  ASSERT_EQ(cut_run.steps.size(), cut + 1);
+  for (std::size_t i = 0; i < cut_run.steps.size(); ++i) {
+    EXPECT_EQ(cut_run.steps[i].agent, full.steps[i].agent) << i;
+    EXPECT_EQ(cut_run.steps[i].round, full.steps[i].round) << i;
+    EXPECT_TRUE(cut_run.steps[i].new_strategy == full.steps[i].new_strategy)
+        << i;
+  }
+  // Every earlier round committed one move, so the cut round kept one.
+  EXPECT_EQ(cut_run.max_round_commits, 1u);
+}
+
 /// Observer checking the round-callback contract: round indices increase by
 /// one, batch sizes are >= 1 and sum to the move count.
 class RoundObserver final : public StepObserver {
