@@ -166,7 +166,9 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
   // most |C| rounds of |C| probes; each probe is one bounded repair plus an
   // O(n) aggregation.
   IncrementalSssp& sssp = scratch.sssp;
-  sssp.reset(base_dist);
+  // Both reseeds below belong to this call: one shrink-policy step.
+  const std::uint64_t search_token = IncrementalSssp::new_search_token();
+  sssp.reset(base_dist, search_token);
   NodeSet current(n);
   double current_cost = empty_cost;
   const auto environment_edges = [&](int x, auto&& visit) {
@@ -319,7 +321,7 @@ ApproxBrResult ladder_over(const AgentEnvironment& env,
         // vector converge to the least fixpoint regardless of insertion
         // order, so this matches the unbounded search's evaluation of the
         // same subset bitwise.
-        sssp.reset(base_dist);
+        sssp.reset(base_dist, search_token);
         double edge_sum = 0.0;
         br.strategy.for_each([&](int v) {
           const double w = weight_row[static_cast<std::size_t>(v)];

@@ -356,6 +356,9 @@ BestResponseResult run_search(const AgentEnvironment& env,
     const double base_bound = std::min(result.cost, options.incumbent);
     std::vector<BranchOutcome> outcomes(k);
     std::atomic<int> winner{INT_MAX};
+    // Every branch reseeds its worker's incremental SSSP under this token,
+    // so the shrink policy runs once per search, not once per branch.
+    const std::uint64_t search_token = IncrementalSssp::new_search_token();
     // One task per first-level branch; branch subtrees are whole jobs, so
     // short candidate lists still fan out (serial_cutoff 2).
     parallel_for(
@@ -397,7 +400,7 @@ BestResponseResult run_search(const AgentEnvironment& env,
           search.repair_cap = options.repair_cap;
           if (options.first_improvement) search.winner = &winner;
           search.sssp = &worker_arena().incremental_sssp();
-          search.sssp->reset(base_dist);
+          search.sssp->reset(base_dist, search_token);
           search.current = NodeSet(n);
           search.result.strategy = NodeSet(n);
 

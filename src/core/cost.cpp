@@ -1,18 +1,9 @@
 #include "core/cost.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "graph/dijkstra.hpp"
 #include "support/parallel.hpp"
 
 namespace gncg {
-
-bool improves(double candidate, double incumbent) {
-  if (!(incumbent < kInf)) return candidate < kInf;
-  const double slack = kImproveEps * std::max(1.0, std::abs(incumbent));
-  return candidate < incumbent - slack;
-}
 
 double buying_cost(const Game& game, const StrategyProfile& s, int u) {
   double total = 0.0;

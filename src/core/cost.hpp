@@ -8,19 +8,26 @@
 // out over the worker pool.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/game.hpp"
 
 namespace gncg {
 
-/// Strict-improvement test with a scale-aware epsilon: `candidate` improves
-/// on `incumbent` iff it is smaller by more than kImproveEps (relative).
-/// Infinite incumbents are improved by any finite candidate.
-bool improves(double candidate, double incumbent);
-
 /// The epsilon scale used by `improves` (exposed for tests).
 inline constexpr double kImproveEps = 1e-9;
+
+/// Strict-improvement test with a scale-aware epsilon: `candidate` improves
+/// on `incumbent` iff it is smaller by more than kImproveEps (relative).
+/// Infinite incumbents are improved by any finite candidate.  Inline: the
+/// single-move scans and the best-response searches call it per candidate.
+inline bool improves(double candidate, double incumbent) {
+  if (!(incumbent < kInf)) return candidate < kInf;
+  const double slack = kImproveEps * std::max(1.0, std::abs(incumbent));
+  return candidate < incumbent - slack;
+}
 
 /// alpha * total weight of the edges agent u buys.
 double buying_cost(const Game& game, const StrategyProfile& s, int u);

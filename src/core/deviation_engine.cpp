@@ -1,6 +1,9 @@
 #include "core/deviation_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "core/transposition.hpp"
@@ -126,6 +129,16 @@ double strategy_weight(const ScratchArena::ScanScratch& scan, int remove,
   if (!added) total += add_weight;
   return total;
 }
+
+/// A scan's bound tallies, kept on the stack and flushed once on return.
+struct ScanTally {
+  std::uint64_t candidates = 0;
+  std::uint64_t skips = 0;
+  ~ScanTally() {
+    GNCG_COUNT_N(kEngineScanCandidates, candidates);
+    GNCG_COUNT_N(kEngineScanBoundSkips, skips);
+  }
+};
 
 }  // namespace
 
@@ -410,9 +423,11 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
   const int n = game_->node_count();
   const double alpha = game_->alpha();
   const AgentCache& cu = warmed(u);
+  const double su = cu.dist_sum;
   // Per-scan tables live in the calling worker's arena, so parallel warm
   // scans never collide and steady-state scans allocate nothing.
   ScratchArena::ScanScratch& scan = worker_arena().scan();
+  GNCG_IF_INSTRUMENT(ScanTally tally;)
 
   // u's owned (target, weight) list, built once: every candidate's edge
   // cost sums it instead of re-querying the host per owned edge.
@@ -424,8 +439,7 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
   });
 
   SingleMoveResult result;
-  result.current_cost =
-      alpha * strategy_weight(scan, -1, -1, 0.0) + cu.dist_sum;
+  result.current_cost = alpha * strategy_weight(scan, -1, -1, 0.0) + su;
   result.cost = result.current_cost;
 
   const auto consider = [&](MoveType type, int remove, int add, double cost) {
@@ -445,39 +459,109 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
       scan.x_weight[idx(weighed)] = game_->weight(u, weighed);
     return x != u && scan.x_weight[idx(x)] < kInf;
   };
-  // Addition distance cost of every buyable x with no built edge (u, x),
-  // from the cached vectors of u and x (no such edge exists, so they fully
-  // determine the new distances).  The add branch, the doubly-owned swap
-  // and the non-bridge swap bound all read it, so it is computed once per
-  // scan, kLanes candidates per kernel pass in increasing x: add_cost[y] is
-  // valid for every such y < costed.
-  scan.add_cost.resize(static_cast<std::size_t>(n));
-  int costed = 0;
-  const auto addition_cost = [&](int x) {
-    while (costed <= x) {
-      LaneBlock block;
-      for (; costed < n && !block.full(); ++costed)
-        if (buyable(costed) && !profile_.has_edge(u, costed))
-          block.push(costed, warmed(costed).dist.data(),
-                     scan.x_weight[idx(costed)]);
-      if (block.size == 0) break;
-      double out[kLanes];
-      addition_costs(cu.dist, block, out);
-      for (int l = 0; l < block.size; ++l)
-        scan.add_cost[idx(block.x[l])] = out[l];
-    }
-    return scan.add_cost[idx(x)];
-  };
   const auto edge_cost = [&](int remove, int x) {
     return alpha * strategy_weight(scan, remove, x, scan.x_weight[idx(x)]);
   };
 
+  // Cost bound.  Buying (u, x) shortens u's distance to any t by at most
+  // g = max(0, d_u(x) - w(u, x)), since d_u(t) <= d_u(x) + d_x(t).  So a
+  // candidate's distance cost is at least S_u - k g, k counting the nodes
+  // whose distance may shrink: n for an addition and for a swap that deletes
+  // a non-bridge (deleting only lengthens paths), the F far-side nodes for a
+  // bridge swap (near-side terms stay d_u(t)).  A candidate whose edge cost
+  // plus that bound fails improves() is skipped before its O(n) pass:
+  // consider() would reject it, and still would against any later, lower
+  // incumbent.
+  //
+  // The margin keeps every skip exact in floating point.  Let eps = 2^-53,
+  // gamma = n eps / (1 - n eps), E the candidate's edge cost:
+  //  * the cached rows are Dijkstra fixpoints, d_u(z) <= fl(d_u(y) + w) on
+  //    every built edge (y, z), so adding x's shortest path to t (< n edges)
+  //    onto d_u(x) left to right gives d_u(t) <= (1 + gamma) d_u(x) +
+  //    (1 + 2.01 gamma) d_x(t);
+  //  * hence each lane term, min(d_u(t), fl(w + d_x(t))) or d_u(t) or
+  //    fl(w + d_x(t)), is at least d_u(t) - g - gamma d_u(x) -
+  //    (2.01 gamma + 2 eps) d_u(t) (a term with w + d_x(t) >= 2 d_u(t) is at
+  //    least d_u(t) outright);
+  //  * S_u and the lane sum are n-term sums of nonnegatives, off by at most
+  //    gamma S and 2 gamma S (a lane sum above 2 S beats the bound outright),
+  //    S the exact sum of the row; forming fl(E + fl(S_u - fl(k g))) adds at
+  //    most eps (|E| + 2 S_u + 4.03 k d_u(x)).
+  // In total the bound exceeds the computed cost E + C by less than
+  // eps (|E| + 7.2 n S_u + 3.1 n^2 d_u(x)) for n >= 2.  The margin
+  // 16 n eps (|E| + S_u + n d_u(x)) is over twice that, which also covers
+  // its own rounding, so fl(fl(E + bound) - margin) <= fl(E + C) by monotone
+  // rounding.  It is about 1e-13 relative at n = 256, far below
+  // kImproveEps.  The rows must be finite: on a disconnected network
+  // (S_u = inf) the bound is off.
+  const bool bounded = su < kInf;
+  const double margin_scale = 16.0 * n * 0x1p-53;
+  const auto cannot_improve = [&](double edge, int x, int reach) {
+    GNCG_IF_INSTRUMENT(++tally.candidates;)
+    if (!bounded) return false;
+    const double dux = cu.dist[idx(x)];
+    const double gain = std::max(0.0, dux - scan.x_weight[idx(x)]);
+    const double margin = margin_scale * (std::abs(edge) + su + n * dux);
+    const bool skip =
+        !improves(edge + (su - reach * gain) - margin, result.cost);
+    GNCG_IF_INSTRUMENT(tally.skips += skip;)
+    return skip;
+  };
+
+  // Survivors of the bound queue up in increasing x.  Those whose distance
+  // cost is still unknown (NaN) also take a lane of `block`; settle() fills
+  // the lanes in one kernel pass, then decides the queue in order, so
+  // consider() still sees candidates in increasing x.  The addition cost of
+  // x (no built edge (u, x)) is cached per scan: the add branch, doubly-owned
+  // swaps and the non-bridge swap pre-check all read it.
+  constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+  scan.add_cost.assign(static_cast<std::size_t>(n), kUnknown);
+  std::vector<ScratchArena::ScanCandidate>& queue = scan.queue;
+  queue.clear();
+  LaneBlock block;
+  std::size_t lane_slot[kLanes] = {};
+  // Queues x; true when its lane filled the block.
+  const auto enqueue = [&](int x, double edge, double dist) {
+    if (std::isnan(dist)) {
+      lane_slot[block.size] = queue.size();
+      block.push(x, warmed(x).dist.data(), scan.x_weight[idx(x)]);
+    }
+    queue.push_back({x, edge, dist});
+    return block.full();
+  };
+  // Drains the queue; true when `decide` stopped the scan (early exit).
+  const auto settle = [&](auto&& lane_kernel, auto&& decide) {
+    if (block.size > 0) {
+      double out[kLanes];
+      lane_kernel(block, out);
+      for (int l = 0; l < block.size; ++l)
+        queue[lane_slot[l]].dist_cost = out[l];
+      block.size = 0;
+    }
+    for (const ScratchArena::ScanCandidate& c : queue)
+      if (decide(c)) return true;
+    queue.clear();
+    return false;
+  };
+  const auto additions = [&](LaneBlock& lanes, double* out) {
+    addition_costs(cu.dist, lanes, out);
+    for (int l = 0; l < lanes.size; ++l)
+      scan.add_cost[idx(lanes.x[l])] = out[l];
+  };
+
   if (flags.adds) {
+    const auto decide = [&](const ScratchArena::ScanCandidate& c) {
+      consider(MoveType::kAdd, -1, c.x, c.edge_cost + c.dist_cost);
+      return early_exit && result.improved;
+    };
     for (int x = 0; x < n; ++x) {
       if (!buyable(x) || profile_.has_edge(u, x)) continue;
-      consider(MoveType::kAdd, -1, x, edge_cost(-1, x) + addition_cost(x));
-      if (early_exit && result.improved) return result;
+      const double edge = edge_cost(-1, x);
+      if (cannot_improve(edge, x, n)) continue;
+      if (enqueue(x, edge, kUnknown) && settle(additions, decide))
+        return result;
     }
+    if (settle(additions, decide)) return result;
   }
 
   if (flags.deletes || flags.swaps) {
@@ -490,12 +574,12 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
       if (flags.deletes) {
         const double drop_cost = alpha * strategy_weight(scan, v, -1, 0.0);
         if (doubly) {
-          consider(MoveType::kDelete, v, -1, drop_cost + cu.dist_sum);
+          consider(MoveType::kDelete, v, -1, drop_cost + su);
         } else if (!bridge) {
           // Removing an edge cannot shrink any distance, so the current
           // distance sum is an admissible bound: run Dijkstra only when the
           // alpha saving alone could beat the incumbent.
-          if (improves(drop_cost + cu.dist_sum, result.cost)) {
+          if (improves(drop_cost + su, result.cost)) {
             consider(MoveType::kDelete, v, -1,
                      drop_cost + masked_distance_cost(u, v, -1, 0.0));
           }
@@ -516,47 +600,49 @@ SingleMoveResult DeviationEngine::scan_moves(int u, const ScanFlags& flags,
       };
       if (bridge) {
         // Only far-side x reconnect u (u-side x leave it cut off: kInf).
-        // Their costs are lane-batched; consider() still runs in x order.
-        LaneBlock block;
-        const auto flush = [&] {
-          double out[kLanes];
-          bridge_swap_costs(cu.dist, u_side, block, out);
-          for (int l = 0; l < block.size; ++l) {
-            const int x = block.x[l];
-            consider(MoveType::kSwap, v, x, edge_cost(v, x) + out[l]);
-            if (early_exit && result.improved) return true;
-          }
-          block.size = 0;
-          return false;
+        const int far = n - static_cast<int>(std::count(
+                                u_side.begin(), u_side.end(), char{1}));
+        const auto bridge_swaps = [&](LaneBlock& lanes, double* out) {
+          bridge_swap_costs(cu.dist, u_side, lanes, out);
+        };
+        const auto decide = [&](const ScratchArena::ScanCandidate& c) {
+          consider(MoveType::kSwap, v, c.x, c.edge_cost + c.dist_cost);
+          return early_exit && result.improved;
         };
         for (int x = 0; x < n; ++x) {
           if (!swap_target(x) || u_side[idx(x)] != 0) continue;
-          block.push(x, warmed(x).dist.data(), scan.x_weight[idx(x)]);
-          if (block.full() && flush()) return result;
+          const double edge = edge_cost(v, x);
+          if (cannot_improve(edge, x, far)) continue;
+          if (enqueue(x, edge, kUnknown) && settle(bridge_swaps, decide))
+            return result;
         }
-        if (block.size > 0 && flush()) return result;
+        if (settle(bridge_swaps, decide)) return result;
         continue;
       }
-      for (int x = 0; x < n; ++x) {
-        if (!swap_target(x)) continue;
-        const double swap_edges = edge_cost(v, x);
-        const double added_dist =
-            profile_.has_edge(u, x) ? cu.dist_sum : addition_cost(x);
-        double cost;
-        if (doubly) {
-          // The deleted edge stays built; the swap is a pure addition.
-          cost = swap_edges + added_dist;
-        } else {
+      const auto decide = [&](const ScratchArena::ScanCandidate& c) {
+        double cost = c.edge_cost + c.dist_cost;
+        if (!doubly) {
           // Distances in G - (u,v) + (u,x) are bounded below by distances
           // in G + (u,x) (deleting only hurts), which the cached vectors
           // evaluate in O(n); Dijkstra runs only past that bound.
-          if (!improves(swap_edges + added_dist, result.cost)) continue;
-          cost = swap_edges +
-                 masked_distance_cost(u, v, x, scan.x_weight[idx(x)]);
+          if (!improves(cost, result.cost)) return false;
+          cost = c.edge_cost +
+                 masked_distance_cost(u, v, c.x, scan.x_weight[idx(c.x)]);
         }
-        consider(MoveType::kSwap, v, x, cost);
-        if (early_exit && result.improved) return result;
+        // A doubly-owned (u, v) stays built: the swap is a pure addition.
+        consider(MoveType::kSwap, v, c.x, cost);
+        return early_exit && result.improved;
+      };
+      for (int x = 0; x < n; ++x) {
+        if (!swap_target(x)) continue;
+        const double edge = edge_cost(v, x);
+        if (cannot_improve(edge, x, n)) continue;
+        const double added_dist =
+            profile_.has_edge(u, x) ? su : scan.add_cost[idx(x)];
+        if (enqueue(x, edge, added_dist) && settle(additions, decide))
+          return result;
       }
+      if (settle(additions, decide)) return result;
     }
   }
   return result;

@@ -29,7 +29,11 @@
 //    The two O(n) delta forms run in one lane-batched kernel: each pass over
 //    t evaluates a block of candidate targets, every lane adding in
 //    increasing t into its own accumulator, so each candidate's sum is
-//    bitwise the one-candidate loop's.
+//    bitwise the one-candidate loop's.  Before a candidate takes a lane, a
+//    lower bound on its cost is checked against the running best: buying
+//    (u,x) shortens no distance of u by more than max(0, d(u,x) - w(u,x)),
+//    so candidates that provably cannot improve (with a rigorous
+//    floating-point margin) are skipped without changing any result.
 //
 // All SSSP work runs over a flat CSR adjacency slab (graph/csr_adjacency.hpp)
 // and draws every scratch buffer from the calling worker's ScratchArena, so
@@ -229,9 +233,10 @@ class DeviationEngine {
 
   /// Shared single-move scan (const: caches must be warm).  With
   /// `early_exit` the scan stops at the first improving candidate.
-  /// Candidate delta sums are lane-batched (several targets x per pass over
-  /// the distance rows, each summed in its own increasing-t order), but
-  /// candidates are considered one by one in increasing x, so results,
+  /// Candidates whose cost lower bound cannot beat the running best are
+  /// skipped; the rest have their delta sums lane-batched (several targets
+  /// x per pass over the distance rows, each summed in its own increasing-t
+  /// order) and are considered one by one in increasing x, so results,
   /// tie-breaking and early exit match a one-candidate-at-a-time scan.
   SingleMoveResult scan_moves(int u, const ScanFlags& flags,
                               bool early_exit) const;

@@ -46,6 +46,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -87,8 +88,14 @@ class IncrementalSssp {
   using Checkpoint = std::size_t;
 
   /// Seeds from a computed SSSP vector (copied; the caller keeps the
-  /// original for further branches).  Clears the change log.
-  void reset(const std::vector<double>& dist);
+  /// original for further branches).  Clears the change log.  Resets that
+  /// pass the same nonzero `search` token are branches of one search: the
+  /// shrink policy runs on the first of them only, and the high-water marks
+  /// span all of them.  Token 0 makes every reset its own search.
+  void reset(const std::vector<double>& dist, std::uint64_t search = 0);
+
+  /// A process-unique nonzero token for reset() (thread-safe).
+  static std::uint64_t new_search_token();
 
   const std::vector<double>& dist() const { return dist_; }
 
@@ -205,11 +212,12 @@ class IncrementalSssp {
   std::size_t log_peak_ = 0;   ///< high-water marks of the previous search
   std::size_t heap_peak_ = 0;
   /// Decaying need estimates driving reset()'s shrink policy: the estimate
-  /// only halves per reset, so a workload alternating small and large
+  /// only loses 1/8 per search, so a workload alternating small and large
   /// searches (the ladder's tier-1 probes vs tier-2 branch floods) keeps
   /// its capacity instead of shrink-then-regrowing every other reset.
   std::size_t log_need_ = 0;
   std::size_t heap_need_ = 0;
+  std::uint64_t search_ = 0;  ///< token of the search being reset
 };
 
 }  // namespace gncg

@@ -15,6 +15,7 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += (scan_.owned_w.capacity() + scan_.x_weight.capacity() +
             scan_.add_cost.capacity()) *
            sizeof(double);
+  total += scan_.queue.capacity() * sizeof(ScanCandidate);
   total += scan_.side_mark.capacity() * sizeof(char);
   total += br_.order.capacity() * sizeof(std::pair<double, int>);
   total += br_.candidates.capacity() * sizeof(int);

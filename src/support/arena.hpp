@@ -60,11 +60,20 @@ class ScratchArena {
   // Dijkstra fallbacks draw on the SSSP workspaces and sum_dist above, never
   // on these, so the two partitions are live together without aliasing.
 
+  /// A single-move candidate that survived the scan's cost bound, waiting
+  /// for its exact distance cost (NaN until a lane pass fills it).
+  struct ScanCandidate {
+    int x;
+    double edge_cost;
+    double dist_cost;
+  };
+
   struct ScanScratch {
     std::vector<int> owned;         ///< scanning agent's targets, increasing
     std::vector<double> owned_w;    ///< w(u, v) per owned target
     std::vector<double> x_weight;   ///< w(u, x) by node id
     std::vector<double> add_cost;   ///< addition distance cost by node id
+    std::vector<ScanCandidate> queue;  ///< bound survivors, increasing x
     std::vector<char> side_mark;    ///< reachability marks (bridge detection)
     std::vector<int> dfs_stack;     ///< explicit DFS stack for reachability
   };

@@ -60,6 +60,8 @@ const char* counter_name(Counter counter) {
     case Counter::kMgmProposals: return "mgm_proposals";
     case Counter::kMgmConflictDrops: return "mgm_conflict_drops";
     case Counter::kMgmCommits: return "mgm_commits";
+    case Counter::kEngineScanCandidates: return "engine_scan_candidates";
+    case Counter::kEngineScanBoundSkips: return "engine_scan_bound_skips";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -122,6 +122,12 @@ enum class Counter : int {
   kMgmConflictDrops,  ///< shard winners dropped by conflict-set overlap
   kMgmCommits,        ///< moves committed (winners surviving selection)
 
+  // Single-move scans (core/deviation_engine.cpp).  Deterministic event
+  // counts (each scan tallies on the stack and flushes once); skips /
+  // candidates is the scans' bound prune rate.
+  kEngineScanCandidates,  ///< add/swap candidates offered to the cost bound
+  kEngineScanBoundSkips,  ///< candidates the bound proved non-improving
+
   kCount
 };
 

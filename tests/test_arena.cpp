@@ -19,12 +19,14 @@
 #include <new>
 #include <vector>
 
+#include "core/approx_br.hpp"
 #include "core/deviation_engine.hpp"
 #include "core/profile_gen.hpp"
 #include "graph/dijkstra.hpp"
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "support/arena.hpp"
+#include "support/instrument.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -256,8 +258,8 @@ TEST(ShrinkPolicy, IncrementalSsspResetReleasesBigRunState) {
 
   // Re-targeting the workspace at a small engine releases the big-run
   // capacity: dist immediately, log/heap through the decaying need estimate
-  // (halved per reset from the big run's peak), so the release lands within
-  // ~log2(big) resets of a sustained downshift.
+  // (7/8 of it kept per reset from the big run's peak), so the release
+  // lands within a logarithmic number of resets of a sustained downshift.
   std::vector<double> small_base{0.0, 1.0, 2.0, 3.0};
   for (int round = 0; round < 16; ++round) sssp.reset(small_base);
   EXPECT_LT(sssp.footprint_bytes(), big_footprint / 4);
@@ -303,6 +305,46 @@ TEST(ShrinkPolicy, AlternatingWorkloadsKeepCapacity) {
     flood(sssp);
   }
   EXPECT_EQ(sssp.footprint_bytes(), big_footprint);
+}
+
+TEST(ShrinkPolicy, RepeatedLadderCallKeepsCapacity) {
+  // One ladder call runs a tier-2 search whose first-level branches reseed
+  // the worker's incremental SSSP one after another, the early ones large
+  // and the late ones small.  A shrink-policy step per branch releases
+  // buffers inside the call that the next call regrows (about 1.7 shrinks
+  // per ladder call on euclidean n = 10^4).  With one step per search,
+  // repeating a call on one worker must not shrink anything.
+  if (!instrument::compiled_in()) GTEST_SKIP() << "GNCG_INSTRUMENT=OFF";
+  set_default_thread_count(1);
+  Rng rng(20261017);
+  const int n = 2000;
+  const Game game(HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0),
+                  /*alpha=*/100.0);
+  DeviationEngine engine(game, recursive_tree_profile(game, rng));
+  engine.warm_distances();
+  ApproxBrOptions options;
+  options.budget = 8;
+  options.repair_cap = 2048;
+  const auto shrinks = [](const instrument::ThreadFrame& frame) {
+    return frame.delta()[static_cast<std::size_t>(
+        instrument::Counter::kArenaShrinkEvents)];
+  };
+  int checked = 0;
+  for (int u = 0; u < n; u += n / 8) {
+    options.incumbent = engine.agent_cost_warm(u);
+    options.current_dist = &engine.distances_warm(u);
+    const ApproxBrResult first =
+        approx_best_response_ladder(engine, u, options);
+    const instrument::ThreadFrame frame;
+    const ApproxBrResult second =
+        approx_best_response_ladder(engine, u, options);
+    EXPECT_EQ(shrinks(frame), 0u) << "agent " << u;
+    EXPECT_TRUE(second.strategy == first.strategy);
+    EXPECT_EQ(second.cost, first.cost);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 8);
+  set_default_thread_count(0);
 }
 
 }  // namespace

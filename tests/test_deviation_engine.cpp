@@ -29,6 +29,7 @@
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "metric/tree.hpp"
+#include "support/instrument.hpp"
 #include "support/rng.hpp"
 
 namespace gncg {
@@ -501,6 +502,133 @@ TEST(DeviationEngineLanes, ScansMatchFrozenScalarScanBitwise) {
   // and scans that run to the end without finding one.
   EXPECT_GT(improving, 0);
   EXPECT_LT(improving, agents);
+}
+
+// The scans skip a candidate when a lower bound on its cost -- edge cost
+// plus S_u - k g_x, minus a floating-point margin -- cannot beat the
+// incumbent.  The skips must be invisible: the cases below pin the pruned
+// scans to the frozen scalar scan (and, on exact-arithmetic hosts, to the
+// naive scans) on the near-equilibrium profiles where the bound fires, and
+// on a disconnected network where it must stay off.
+
+namespace ins = ::gncg::instrument;
+
+std::uint64_t bound_skips(const ins::ThreadFrame& frame) {
+  return frame.delta()[static_cast<std::size_t>(
+      ins::Counter::kEngineScanBoundSkips)];
+}
+
+/// Random tree host whose edge weights are integers in [1, 9], so every
+/// distance and cost sums exactly in doubles.
+HostGraph integer_tree_host(int n, Rng& rng) {
+  std::vector<double> weights;
+  for (int i = 0; i + 1 < n; ++i)
+    weights.push_back(static_cast<double>(rng.uniform_int(1, 9)));
+  return HostGraph::from_tree(random_tree_with_weights(n, weights, rng));
+}
+
+/// Applies up to `steps` best single moves (the lowest improving agent's,
+/// as a round-robin scheduler would), calling `check` on every visited
+/// profile.  Improving moves drive the profile toward equilibrium, where
+/// incumbents are tight and most candidates are provably non-improving.
+template <class Check>
+void walk_best_moves(const Game& game, StrategyProfile profile, int steps,
+                     Check&& check) {
+  for (int step = 0; step <= steps; ++step) {
+    check(profile);
+    DeviationEngine engine(game, profile);
+    engine.warm_distances();
+    bool moved = false;
+    for (int u = 0; u < game.node_count() && !moved; ++u) {
+      const SingleMoveResult best = engine.best_single_move_warm(u);
+      if (!best.improved) continue;
+      engine.apply_move(u, best.move);
+      moved = true;
+    }
+    if (!moved) return;
+    profile = engine.profile();
+  }
+}
+
+TEST(DeviationEngineBound, PrunedScansMatchFrozenScanWhereTheBoundFires) {
+  // Large alpha keeps the networks sparse (tree-like, many bridges) and the
+  // walk settles them, so every scan family prunes: additions, bridge swaps
+  // and non-bridge or doubly-owned swaps.
+  Rng rng(1313);
+  for (int host = 0; host < 4; ++host) {
+    const int n = host == 0 ? 41 : 24;
+    HostGraph graph = [&] {
+      switch (host) {
+        case 0:
+          return HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0);
+        case 1:
+          return random_integer_host(n, rng);
+        case 2:
+          return integer_tree_host(n, rng);
+        default:
+          return random_one_two_host(n, 0.5, rng);
+      }
+    }();
+    const Game game(std::move(graph), rng.uniform_real(0.5, 2.0) * n);
+    StrategyProfile start = random_profile(game, rng, 0.05);
+    for (int u = 0; u < n; ++u)
+      for (int v = 0; v < n; ++v)
+        if (u != v && start.buys(u, v) && rng.bernoulli(0.2))
+          start.add_buy(v, u);
+    SCOPED_TRACE(::testing::Message() << "host " << host);
+    const ins::ThreadFrame frame;
+    walk_best_moves(game, start, 12, [&](const StrategyProfile& profile) {
+      compare_with_reference(game, profile);
+    });
+    if (ins::compiled_in()) {
+      EXPECT_GT(bound_skips(frame), 0u);
+    }
+  }
+}
+
+TEST(DeviationEngineBound, ExactHostsMatchNaiveScansWhereTheBoundFires) {
+  // On dense integer-weight and integer tree hosts the engine must match the
+  // naive Dijkstra-per-candidate scans bit for bit, pruned or not.
+  Rng rng(1314);
+  for (int host = 0; host < 2; ++host) {
+    const int n = 18;
+    HostGraph graph =
+        host == 0 ? random_integer_host(n, rng) : integer_tree_host(n, rng);
+    const Game game(std::move(graph), rng.uniform_real(0.5, 2.0) * n);
+    SCOPED_TRACE(::testing::Message() << "host " << host);
+    const ins::ThreadFrame frame;
+    walk_best_moves(game, random_profile(game, rng, 0.1), 10,
+                    [&](const StrategyProfile& profile) {
+                      compare_all_agents(game, profile, /*exact=*/true);
+                    });
+    if (ins::compiled_in()) {
+      EXPECT_GT(bound_skips(frame), 0u);
+    }
+  }
+}
+
+TEST(DeviationEngineBound, DisconnectedNetworkKeepsEveryCandidate) {
+  // Two components: every S_u is infinite, so the bound must stay off.
+  // Buying an edge across reconnects the agent, a finite cost that improves
+  // on the infinite one; a bound formed from S_u = inf would skip it.
+  Rng rng(1315);
+  for (int host = 0; host < 2; ++host) {
+    const int n = 12;
+    HostGraph graph =
+        host == 0
+            ? HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0)
+            : random_integer_host(n, rng);
+    const Game game(std::move(graph), 3.0);
+    StrategyProfile profile(n);
+    for (int u = 1; u < n; ++u)
+      if (u != n / 2) profile.add_buy(u, u - 1);  // paths 0..n/2-1, n/2..n-1
+    profile.add_buy(2, 0);                        // a chord: a non-bridge
+    profile.add_buy(n / 2, n / 2 + 1);            // a doubly-owned edge
+    SCOPED_TRACE(::testing::Message() << "host " << host);
+    const ins::ThreadFrame frame;
+    EXPECT_EQ(compare_with_reference(game, profile), n);
+    EXPECT_EQ(bound_skips(frame), 0u);
+  }
 }
 
 TEST(DeviationEngine, DistanceCachesSurviveOwnershipOnlyMutations) {
