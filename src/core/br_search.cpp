@@ -4,6 +4,7 @@
 #include <atomic>
 #include <climits>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,7 +26,7 @@ namespace {
 // order-insensitive).
 
 struct SumCostModel {
-  static double distance_term(const std::vector<double>& dist) {
+  static double distance_term(std::span<const double> dist) {
     double total = 0.0;
     for (double d : dist) total += d;
     return total;
@@ -50,7 +51,7 @@ struct SumCostModel {
   /// incident to the source, so a shortest path uses at most one, first;
   /// its weight alone is >= w_next, the smallest remaining candidate).
   static double tight_floor(const std::vector<double>& host_row,
-                            const std::vector<double>& dist, double w_next) {
+                            std::span<const double> dist, double w_next) {
     double total = 0.0;
     for (std::size_t t = 0; t < dist.size(); ++t)
       total += std::max(host_row[t], std::min(dist[t], w_next));
@@ -59,7 +60,7 @@ struct SumCostModel {
 };
 
 struct MaxCostModel {
-  static double distance_term(const std::vector<double>& dist) {
+  static double distance_term(std::span<const double> dist) {
     double worst = 0.0;
     for (double d : dist) worst = std::max(worst, d);
     return worst;
@@ -74,7 +75,7 @@ struct MaxCostModel {
   }
 
   static double tight_floor(const std::vector<double>& host_row,
-                            const std::vector<double>& dist, double w_next) {
+                            std::span<const double> dist, double w_next) {
     double worst = 0.0;
     for (std::size_t t = 0; t < dist.size(); ++t)
       worst = std::max(worst, std::max(host_row[t],
@@ -83,18 +84,101 @@ struct MaxCostModel {
   }
 };
 
+// --- candidate rows --------------------------------------------------------
+
+/// The search's per-candidate rows (core/br_search.hpp: d_S = min over v in
+/// S of d_v).  Row i is built once per search, by the first branch that
+/// inserts candidate i, into the driver arena's row slot; its state byte
+/// (0 unbuilt, 1 being built, 2 built) hands it to every other branch, which
+/// only reads it.  A row's content is a function of (base vector,
+/// candidate, cap) alone, so which worker builds it never shows.
+class RowTable {
+ public:
+  RowTable(const AgentEnvironment& env, ScratchArena::BrScratch& scratch,
+           std::size_t repair_cap, std::uint64_t search_token)
+      : env_(&env),
+        scratch_(&scratch),
+        repair_cap_(repair_cap),
+        search_token_(search_token) {
+    // Buffers follow the arena shrink policy (graph/dijkstra.hpp): a slab
+    // or row left over from a much larger search is released.
+    const std::size_t k = scratch.candidates.size();
+    detail::release_excess(scratch.rows, k);
+    if (scratch.rows.size() < k) scratch.rows.resize(k);
+    scratch.row_state.assign(k, kUnbuilt);
+  }
+
+  const ScratchArena::CandidateRow& row(std::size_t i) const {
+    std::atomic_ref<std::uint8_t> state(scratch_->row_state[i]);
+    std::uint8_t seen = state.load(std::memory_order_acquire);
+    if (seen != kBuilt) {
+      if (seen == kUnbuilt &&
+          state.compare_exchange_strong(seen, kBuilding,
+                                        std::memory_order_acquire)) {
+        build(i);
+        state.store(kBuilt, std::memory_order_release);
+        state.notify_all();
+      } else {
+        while ((seen = state.load(std::memory_order_acquire)) != kBuilt)
+          state.wait(seen, std::memory_order_acquire);
+      }
+    }
+    return scratch_->rows[i];
+  }
+
+ private:
+  static constexpr std::uint8_t kUnbuilt = 0;
+  static constexpr std::uint8_t kBuilding = 1;
+  static constexpr std::uint8_t kBuilt = 2;
+
+  /// One single-insert repair of candidate i from the base vector on the
+  /// calling worker's IncrementalSssp (capped under repair_cap), kept as
+  /// the list of nodes it lowered: repairs only ever decrease, so a node
+  /// is in the list iff its repaired distance is below the base one.
+  void build(std::size_t i) const {
+    const std::vector<double>& base = scratch_->base_dist;
+    const int v = scratch_->candidates[i];
+    const double w = scratch_->weights[i];
+    IncrementalSssp& sssp = worker_arena().incremental_sssp();
+    sssp.reset(base, search_token_);
+    // The source's distance is 0 and never changes, so the repair needs
+    // only the environment edges: no path improves through the source.
+    const auto environment_edges = [this](int x, auto&& visit) {
+      env_->for_neighbors(x, visit);
+    };
+    // Cap 0 is the unbounded policy: the exact repair, never truncated.
+    FrontierPolicy policy;
+    policy.node_cap = repair_cap_;
+    ScratchArena::CandidateRow& row = scratch_->rows[i];
+    row.frontier =
+        sssp.relax_insert(v, w, policy, environment_edges).frontier_min;
+    detail::release_excess(row.lowered, base.size());
+    row.lowered.clear();
+    const std::vector<double>& dist = sssp.dist();
+    for (std::size_t t = 0; t < dist.size(); ++t)
+      if (dist[t] < base[t])
+        row.lowered.emplace_back(static_cast<int>(t), dist[t]);
+  }
+
+  const AgentEnvironment* env_;
+  ScratchArena::BrScratch* scratch_;
+  std::size_t repair_cap_;
+  std::uint64_t search_token_;
+};
+
 // --- branch-local DFS -----------------------------------------------------
 
 /// One first-level branch of the subset DFS: all subsets whose smallest
-/// chosen candidate index is `branch`.  Owns its incremental SSSP state and
-/// its incumbent; shares nothing mutable, so branches run concurrently and
-/// the fold over branch outcomes is independent of thread count.
+/// chosen candidate index is `branch`.  Owns its incumbent (its outcome
+/// slot), its subset and its depth vectors (the executing worker's arena);
+/// reads the shared rows only, so branches run concurrently and the fold
+/// over branch outcomes is independent of thread count.
 template <class Model>
 struct BranchSearch {
   const Game* game = nullptr;
-  const AgentEnvironment* env = nullptr;
-  const std::vector<int>* candidates = nullptr;
+  const RowTable* rows = nullptr;
   const std::vector<double>* weights = nullptr;
+  const std::vector<int>* candidates = nullptr;
   const std::vector<double>* weight_row = nullptr;  ///< weight by node id
   const std::vector<double>* host_row = nullptr;
   double cheap_floor = 0.0;
@@ -104,29 +188,30 @@ struct BranchSearch {
   int branch = 0;
   const std::atomic<int>* winner = nullptr;  ///< lowest improving branch
 
-  /// The executing worker's arena-owned incremental SSSP.  Branches run to
-  /// completion on one thread and reseed via reset(), so sequential branches
-  /// on the same worker can share the instance.
-  IncrementalSssp* sssp = nullptr;
-  NodeSet current;
+  /// The executing worker's branch state (ScratchArena::br_branch): the
+  /// subset, empty between branches, and the depth vectors.  Branches run
+  /// to completion on one thread, so sequential branches on the same worker
+  /// share it.
+  NodeSet* current = nullptr;
+  std::vector<std::vector<double>>* depth_dist = nullptr;
+  /// Distance vector of the current DFS node's subset: the base vector at
+  /// the root, a depth vector below it.
+  std::span<const double> dist;
   double current_weight = 0.0;
-  BestResponseResult result;
+  /// The branch's incumbent, written straight into its driver slot.
+  ScratchArena::BranchOutcome* result = nullptr;
   bool done = false;
 
-  /// Bounded-frontier mode (repair_cap > 0): every in-DFS repair honors the
-  /// cap, and `path_frontier` is the minimum frontier key over the
-  /// *truncated* insertions still on the DFS path (kInf when every repair on
-  /// the path ran exact).  The repair invariant composes along the path:
-  /// true(t) >= min(dist(t), path_frontier), because a node left deficient
-  /// by some truncated repair has its fixing relaxation chain blocked at a
-  /// key >= that repair's frontier >= path_frontier (keys along a shortest
-  /// path are nondecreasing under monotone fl-addition), while a node a
-  /// later repair did fix satisfies dist == true.  Saved/restored around
-  /// each descend step like the distance log.
-  std::size_t repair_cap = 0;
+  /// Bounded-frontier mode (repair_cap > 0): every row is one capped repair,
+  /// and `path_frontier` is the minimum frontier key over the *truncated*
+  /// rows of the current subset (kInf when every one ran exact, always at
+  /// cap 0).  For each row, true_v(t) >= min(d_v(t), F_v); the true
+  /// distance of the subset is the minimum of the true_v, so
+  /// true(t) >= min(dist(t), path_frontier).  Saved/restored around each
+  /// descend step like the distance vector.
   double path_frontier = kInf;
 
-  double bound() const { return std::min(result.cost, base_bound); }
+  double bound() const { return std::min(result->cost, base_bound); }
 
   /// A branch whose index can no longer win the first-improvement fold (a
   /// lower branch already improved) stops; its result is discarded either
@@ -145,31 +230,27 @@ struct BranchSearch {
     // explored before reaching this node), the pre-refactor search's
     // cost-vs-cost_of ulp mismatch.
     double edge_sum = 0.0;
-    current.for_each(
+    current->for_each(
         [&](int v) { edge_sum += (*weight_row)[static_cast<std::size_t>(v)]; });
-    // With a live truncation on the path the maintained vector is only an
-    // upper bound, so the recorded value is the admissible floor
+    // With a truncated row in the subset the vector is only an upper bound,
+    // so the recorded value is the admissible floor
     // sum_t max(host(t), min(dist(t), path_frontier)) -- a certified lower
     // bound on the subset's true cost.  Without one, the vector is the exact
     // fixpoint and the plain distance term keeps the cap-0 path bitwise
     // identical (max(host, dist) could differ from dist in the last ulp).
-    double dist_term;
-    bool lower_bound_only = false;
-    if (repair_cap > 0 && path_frontier < kInf) {
-      dist_term = Model::tight_floor(*host_row, sssp->dist(), path_frontier);
-      lower_bound_only = true;
-    } else {
-      dist_term = Model::distance_term(sssp->dist());
-    }
+    const bool lower_bound_only = path_frontier < kInf;
+    const double dist_term =
+        lower_bound_only ? Model::tight_floor(*host_row, dist, path_frontier)
+                         : Model::distance_term(dist);
     const double cost = game->alpha() * edge_sum + dist_term;
-    ++result.evaluations;
+    ++result->evaluations;
     GNCG_COUNT(kBrEvaluations);
     if (improves(cost, bound())) {
-      result.cost = cost;
-      result.strategy = current;
-      result.improved = improves(cost, incumbent);
-      result.truncated = lower_bound_only;
-      if (first_improvement && result.improved) done = true;
+      result->cost = cost;
+      result->strategy = *current;
+      result->improved = improves(cost, incumbent);
+      result->truncated = lower_bound_only;
+      if (first_improvement && result->improved) done = true;
     }
   }
 
@@ -185,51 +266,44 @@ struct BranchSearch {
       GNCG_COUNT(kBrPrunesGlobal);
       return true;
     }
-    // Under bounded repairs the maintained dist is an upper bound, so the
-    // per-node floor compensates with the path frontier: any true distance
-    // is >= min(dist(t), path_frontier), and a new edge still costs at
-    // least w_next.  With cap 0 the effective weight equals w_next and the
-    // computation is the historical one.
-    const double w_eff = repair_cap > 0
-                             ? std::min((*weights)[i], path_frontier)
-                             : (*weights)[i];
-    if (!improves(edge_cost +
-                      Model::tight_floor(*host_row, sssp->dist(), w_eff),
-                  b)) {
+    // Under truncated rows the vector is an upper bound, so the per-node
+    // floor compensates with the path frontier: any true distance is >=
+    // min(dist(t), path_frontier), and a new edge still costs at least
+    // w_next.  Without one, min(w_next, kInf) is w_next itself.
+    const double w_eff = std::min((*weights)[i], path_frontier);
+    if (!improves(edge_cost + Model::tight_floor(*host_row, dist, w_eff), b)) {
       GNCG_COUNT(kBrPrunesPerNode);
       return true;
     }
     return false;
   }
 
-  void insert(std::size_t i) {
+  /// Adds candidate i to the subset at DFS depth `depth` (its vector goes
+  /// to depth vector depth - 1): the pointwise min of the parent's vector
+  /// and row i.  The parent is <= the base vector everywhere, so only the
+  /// row's lowered nodes can change.
+  void insert(std::size_t i, std::size_t depth) {
     GNCG_COUNT(kBrExpansions);
-    current.insert((*candidates)[i]);
+    current->insert((*candidates)[i]);
     current_weight += (*weights)[i];
-    // The source's distance is 0 and never changes, so the repair needs
-    // only the environment edges: no path improves through the source.
-    const auto environment_edges = [this](int x, auto&& visit) {
-      env->for_neighbors(x, visit);
-    };
-    if (repair_cap > 0) {
-      FrontierPolicy policy;
-      policy.node_cap = repair_cap;
-      const RepairOutcome outcome = sssp->relax_insert(
-          (*candidates)[i], (*weights)[i], policy, environment_edges);
-      if (outcome.truncated)
-        path_frontier = std::min(path_frontier, outcome.frontier_min);
-    } else {
-      sssp->relax_insert((*candidates)[i], (*weights)[i], environment_edges);
+    const ScratchArena::CandidateRow& row = rows->row(i);
+    if (depth_dist->size() < depth) depth_dist->resize(depth);
+    std::vector<double>& child = (*depth_dist)[depth - 1];
+    child.assign(dist.begin(), dist.end());
+    for (const auto& [t, d] : row.lowered) {
+      double& slot = child[static_cast<std::size_t>(t)];
+      slot = std::min(slot, d);
     }
+    path_frontier = std::min(path_frontier, row.frontier);
+    dist = child;
   }
 
-  void remove(std::size_t i, IncrementalSssp::Checkpoint mark) {
-    sssp->rollback(mark);
-    current.erase((*candidates)[i]);
+  void remove(std::size_t i) {
+    current->erase((*candidates)[i]);
     current_weight -= (*weights)[i];
   }
 
-  void descend(std::size_t start) {
+  void descend(std::size_t start, std::size_t depth) {
     for (std::size_t i = start; i < candidates->size() && !done; ++i) {
       if (aborted()) {
         GNCG_COUNT(kBrBranchAborts);
@@ -237,24 +311,16 @@ struct BranchSearch {
         break;
       }
       if (pruned(i)) break;
-      const IncrementalSssp::Checkpoint mark = sssp->checkpoint();
+      const std::span<const double> parent = dist;
       const double pf_mark = path_frontier;
-      insert(i);
+      insert(i, depth);
       evaluate();
-      if (!done) descend(i + 1);
-      remove(i, mark);
+      if (!done) descend(i + 1, depth + 1);
+      remove(i);
+      dist = parent;
       path_frontier = pf_mark;
     }
   }
-};
-
-/// Result of one first-level branch, folded in branch order by the driver.
-struct BranchOutcome {
-  double cost = kInf;
-  NodeSet strategy;
-  bool improved = false;
-  std::uint64_t evaluations = 0;
-  bool truncated = false;
 };
 
 /// The shared driver: empty-set evaluation, first-level fan-out over the
@@ -268,10 +334,11 @@ BestResponseResult run_search(const AgentEnvironment& env,
   GNCG_COUNT(kBrSearches);
 
   // Driver scratch comes from the calling worker's arena.  Branch tasks on
-  // other workers read these buffers through const pointers only; branch
-  // tasks on *this* thread (the caller participates in the fan-out) must
-  // therefore never write them -- they use the arena's disjoint
-  // incremental-SSSP member instead.
+  // any worker (the caller participates in the fan-out) read these buffers
+  // and write only two kinds of slot: a candidate row, once, under its
+  // state byte (RowTable), and their own outcome.  Everything else a branch
+  // writes lives in the executing worker's disjoint br_branch() and
+  // incremental-SSSP members.
   ScratchArena::BrScratch& scratch = worker_arena().br();
 
   // Candidate targets sorted by edge weight so the branch-and-bound cut is
@@ -302,8 +369,8 @@ BestResponseResult run_search(const AgentEnvironment& env,
   }
 
   // The one Dijkstra of the search: u's distances in the bare environment
-  // (the empty-strategy network).  Every branch seeds its incremental
-  // vector from this.  Integer-weight hosts take the bucket-queue kernel
+  // (the empty-strategy network).  Every candidate row is repaired from
+  // this.  Integer-weight hosts take the bucket-queue kernel
   // (bit-identical distances).  A caller that already holds this exact row
   // (the batched certifier sharing one warmed base across the ladder's
   // tiers) passes it via options.base_dist and the search skips the kernel.
@@ -354,11 +421,20 @@ BestResponseResult run_search(const AgentEnvironment& env,
   const std::size_t k = candidates.size();
   if (!done && k > 0) {
     const double base_bound = std::min(result.cost, options.incumbent);
-    std::vector<BranchOutcome> outcomes(k);
     std::atomic<int> winner{INT_MAX};
-    // Every branch reseeds its worker's incremental SSSP under this token,
-    // so the shrink policy runs once per search, not once per branch.
-    const std::uint64_t search_token = IncrementalSssp::new_search_token();
+    // Every row is built under this token, so the shrink policy of the
+    // building workers' incremental SSSP runs once per search, not once per
+    // row.
+    const RowTable rows(env, scratch, options.repair_cap,
+                        IncrementalSssp::new_search_token());
+    std::vector<ScratchArena::BranchOutcome>& outcomes = scratch.outcomes;
+    if (outcomes.size() < k) outcomes.resize(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      outcomes[i].cost = kInf;
+      outcomes[i].improved = false;
+      outcomes[i].evaluations = 0;
+      outcomes[i].truncated = false;
+    }
     // One task per first-level branch; branch subtrees are whole jobs, so
     // short candidate lists still fan out (serial_cutoff 2).
     parallel_for(
@@ -370,8 +446,7 @@ BestResponseResult run_search(const AgentEnvironment& env,
             GNCG_COUNT(kBrBranchAborts);
             return;
           }
-          // Entry cut against the base state (before paying the O(n)
-          // seed copy).
+          // Entry cut against the base state (before building the row).
           const double entry_edge = game.alpha() * (0.0 + weights[i]);
           if (!improves(entry_edge + cheap_floor, base_bound)) {
             GNCG_COUNT(kBrPrunesGlobal);
@@ -385,9 +460,14 @@ BestResponseResult run_search(const AgentEnvironment& env,
             return;
           }
 
+          ScratchArena::BrBranchScratch& branch = worker_arena().br_branch();
+          if (branch.current.universe() != n) branch.current = NodeSet(n);
+          GNCG_DASSERT(branch.current.empty());  // branches remove all they add
+          for (std::vector<double>& depth : branch.depth_dist)
+            detail::release_excess(depth, static_cast<std::size_t>(n));
           BranchSearch<Model> search;
           search.game = &game;
-          search.env = &env;
+          search.rows = &rows;
           search.candidates = &candidates;
           search.weights = &weights;
           search.weight_row = &weight_row;
@@ -397,20 +477,18 @@ BestResponseResult run_search(const AgentEnvironment& env,
           search.incumbent = options.incumbent;
           search.first_improvement = options.first_improvement;
           search.branch = static_cast<int>(i);
-          search.repair_cap = options.repair_cap;
           if (options.first_improvement) search.winner = &winner;
-          search.sssp = &worker_arena().incremental_sssp();
-          search.sssp->reset(base_dist, search_token);
-          search.current = NodeSet(n);
-          search.result.strategy = NodeSet(n);
+          search.current = &branch.current;
+          search.depth_dist = &branch.depth_dist;
+          search.dist = base_dist;
+          search.result = &outcomes[i];
 
-          const IncrementalSssp::Checkpoint mark = search.sssp->checkpoint();
-          search.insert(i);
+          search.insert(i, 1);
           search.evaluate();
-          if (!search.done) search.descend(i + 1);
-          search.remove(i, mark);
+          if (!search.done) search.descend(i + 1, 2);
+          search.remove(i);
 
-          if (search.result.improved && options.first_improvement) {
+          if (outcomes[i].improved && options.first_improvement) {
             int expected = winner.load(std::memory_order_relaxed);
             while (static_cast<int>(i) < expected &&
                    !winner.compare_exchange_weak(
@@ -418,31 +496,29 @@ BestResponseResult run_search(const AgentEnvironment& env,
                        std::memory_order_relaxed)) {
             }
           }
-          outcomes[i] = BranchOutcome{
-              search.result.cost, std::move(search.result.strategy),
-              search.result.improved, search.result.evaluations,
-              search.result.truncated};
         },
         /*grain=*/1, /*serial_cutoff=*/2);
 
     // Deterministic fold in branch order: strict improvement to replace
     // reproduces the sequential DFS's first-found-among-ties answer (the
-    // smaller-lexicographic strategy in candidate order).
+    // smaller-lexicographic strategy in candidate order).  Strategies are
+    // copied, not moved, so the outcome slots keep their storage.
     for (std::size_t i = 0; i < k; ++i) {
-      result.evaluations += outcomes[i].evaluations;
+      const ScratchArena::BranchOutcome& outcome = outcomes[i];
+      result.evaluations += outcome.evaluations;
       if (options.first_improvement) {
-        if (!result.improved && outcomes[i].improved) {
-          result.cost = outcomes[i].cost;
-          result.strategy = std::move(outcomes[i].strategy);
+        if (!result.improved && outcome.improved) {
+          result.cost = outcome.cost;
+          result.strategy = outcome.strategy;
           result.improved = true;
-          result.truncated = outcomes[i].truncated;
+          result.truncated = outcome.truncated;
         }
-      } else if (improves(outcomes[i].cost,
+      } else if (improves(outcome.cost,
                           std::min(result.cost, options.incumbent))) {
-        result.cost = outcomes[i].cost;
-        result.strategy = std::move(outcomes[i].strategy);
+        result.cost = outcome.cost;
+        result.strategy = outcome.strategy;
         result.improved = improves(result.cost, options.incumbent);
-        result.truncated = outcomes[i].truncated;
+        result.truncated = outcome.truncated;
       }
     }
   }

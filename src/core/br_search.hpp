@@ -7,12 +7,15 @@
 // egalitarian variant) differ only in a cost-model policy -- and it replaces
 // the pay-one-Dijkstra-per-subset search:
 //
-//  * In-DFS distance maintenance: every DFS descent adds one edge (u, c)
-//    incident to the agent, which only *decreases* distances, so the
-//    agent's SSSP vector is maintained incrementally (IncrementalSssp:
-//    bounded decrease-only repair seeded at c, change-log rollback on
-//    backtrack).  One Dijkstra per search instead of one per subset;
-//    evaluating a subset costs one O(n) aggregation pass.
+//  * Row-min distance maintenance: every bought edge is incident to the
+//    agent, so a shortest path uses at most one of them, first.  Hence for
+//    any subset S, d_S(t) = min over v in S of d_v(t), where d_v is the
+//    single-insert repair of v from the base vector (IncrementalSssp,
+//    decrease-only).  The search runs one Dijkstra, builds each candidate's
+//    row once (lazily, the first time the DFS inserts it; branches share
+//    the rows read-only), and a DFS step is one O(n) pointwise min into a
+//    per-depth vector -- no repair, no rollback.  Evaluating a subset costs
+//    one O(n) aggregation pass.
 //  * Two-level admissible pruning: the O(1) global floor (host_distance_sum
 //    for SUM, host eccentricity for MAX) cuts first; surviving candidates
 //    face the tighter O(n) per-node floor

@@ -65,19 +65,21 @@ DynamicsResult run_dynamics(DeviationEngine& engine,
   std::uint64_t round_index = 0;
   std::vector<std::pair<int, NodeSet>> batch;
   for (bool done = options.max_moves == 0; !done;) {
-    std::vector<Activation> round = scheduler->next_round(engine, *rule, rng);
+    // The move budget is exact: the scheduler returns at most the moves
+    // left (a prefix of a conflict-free batch, in commit order, is itself
+    // conflict-free, so it is still a valid round).
+    const std::uint64_t budget_left = options.max_moves - result.moves;
+    std::vector<Activation> round = scheduler->next_round(
+        engine, *rule, rng, static_cast<std::size_t>(budget_left));
     if (round.empty()) {
       result.converged = true;
       break;
     }
+    GNCG_CHECK(round.size() <= budget_left,
+               "scheduler '" << scheduler->name()
+                             << "' returned more activations than the move "
+                                "budget allows");
     ++round_index;
-    // The move budget is exact: a round larger than what is left commits
-    // only its first activations.  A prefix of a conflict-free batch, in
-    // commit order, is itself conflict-free, so it is still a valid round.
-    const std::uint64_t budget_left = options.max_moves - result.moves;
-    if (round.size() > budget_left)
-      round.erase(round.begin() + static_cast<std::ptrdiff_t>(budget_left),
-                  round.end());
 
     // Record the steps against the round's start profile, then commit.
     std::vector<DynamicsStep> steps;

@@ -411,8 +411,8 @@ class ParallelMgmScheduler final : public SchedulerPolicy {
   std::string_view name() const override { return "parallel_mgm"; }
 
   std::vector<Activation> next_round(DeviationEngine& engine,
-                                     const MoveRulePolicy& rule,
-                                     Rng&) override {
+                                     const MoveRulePolicy& rule, Rng&,
+                                     std::size_t max_batch) override {
     std::vector<Proposal> proposals = propose_all(engine, rule, n_);
     GNCG_COUNT_N(kMgmProposals, static_cast<std::uint64_t>(n_));
 
@@ -465,16 +465,22 @@ class ParallelMgmScheduler final : public SchedulerPolicy {
       committed.push_back(
           Activation{nominee.agent, std::move(nominee.proposal)});
     }
-    GNCG_COUNT_N(kMgmCommits,
-                 static_cast<std::uint64_t>(committed.size()));
 
     // Commit in ascending agent id: the order is deterministic and -- the
     // committed moves being pairwise non-conflicting -- equivalent to any
-    // other order of the same batch.
+    // other order of the same batch.  A batch past the move budget keeps
+    // its commit-order prefix, itself conflict-free; only the kept moves
+    // count as commits.
     std::sort(committed.begin(), committed.end(),
               [](const Activation& a, const Activation& b) {
                 return a.agent < b.agent;
               });
+    if (committed.size() > max_batch)
+      committed.erase(committed.begin() +
+                          static_cast<std::ptrdiff_t>(max_batch),
+                      committed.end());
+    GNCG_COUNT_N(kMgmCommits,
+                 static_cast<std::uint64_t>(committed.size()));
     return committed;
   }
 
@@ -539,7 +545,7 @@ std::optional<Activation> SchedulerPolicy::next(DeviationEngine&,
 
 std::vector<Activation> SchedulerPolicy::next_round(DeviationEngine& engine,
                                                     const MoveRulePolicy& rule,
-                                                    Rng& rng) {
+                                                    Rng& rng, std::size_t) {
   std::vector<Activation> round;
   if (auto activation = next(engine, rule, rng))
     round.push_back(std::move(*activation));

@@ -141,11 +141,14 @@ class SchedulerPolicy {
   /// The activations committed this round, in commit order; empty means no
   /// agent can improve (convergence).  Agents are distinct within a round
   /// and every proposal was improving against the round's start profile.
+  /// At most `max_batch` (>= 1, the kernel's remaining move budget)
+  /// activations: a scheduler whose batch is larger keeps its commit-order
+  /// prefix, and the kernel applies every returned activation.
   /// Default: adapts `next` into single-activation rounds, so sequential
   /// scheduler behavior under the round kernel is unchanged move for move.
   virtual std::vector<Activation> next_round(DeviationEngine& engine,
                                              const MoveRulePolicy& rule,
-                                             Rng& rng);
+                                             Rng& rng, std::size_t max_batch);
 
   /// Completed activation rounds (order-based schedulers), selection steps
   /// (gain-based ones) or MGM rounds -- the DynamicsResult::rounds value.

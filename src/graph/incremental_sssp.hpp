@@ -1,9 +1,10 @@
 // Incremental single-source shortest paths under edge *insertions*.
 //
-// The exact best-response search descends a DFS over candidate purchase
-// subsets; every descent step adds one edge incident to the source, and
-// adding an edge can only *decrease* distances.  IncrementalSssp maintains
-// the source's distance vector across that walk:
+// Best-response searches add edges incident to the source, and adding an
+// edge can only *decrease* distances.  IncrementalSssp maintains the
+// source's distance vector under such insertions: the exact search builds
+// one single-insert row per candidate with it (core/br_search.cpp), the
+// approx-BR ladder's greedy tier probes and commits insertions on it.
 //
 //  * `reset(dist)` seeds the structure from a fully computed SSSP vector
 //    (one Dijkstra per search, instead of one per visited subset);
@@ -12,8 +13,8 @@
 //    improves, propagates the decrease with a bounded Dijkstra repair over
 //    `neighbor_fn` -- only nodes whose distance actually shrinks are touched;
 //  * every overwrite is recorded in a change log, so `rollback(checkpoint)`
-//    restores the exact pre-insertion vector on DFS backtrack (bitwise: old
-//    doubles are stored and replayed in reverse).
+//    restores the exact pre-insertion vector (bitwise: old doubles are
+//    stored and replayed in reverse).
 //
 // Exactness: the repair is decrease-only Dijkstra seeded at the improved
 // node.  With non-negative weights and monotone floating-point addition
@@ -42,7 +43,7 @@
 // improvement is spatially local.  Rollback works identically in both
 // modes: every overwrite is logged before the bound is consulted.
 //
-// Not thread-safe; parallel searches own one instance per branch.
+// Not thread-safe; parallel searches use one instance per worker.
 #pragma once
 
 #include <cstddef>

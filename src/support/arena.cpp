@@ -22,6 +22,14 @@ std::size_t ScratchArena::footprint_bytes() const {
   total += (br_.weights.capacity() + br_.base_dist.capacity() +
             br_.host_row.capacity() + br_.weight_row.capacity()) *
            sizeof(double);
+  for (const CandidateRow& row : br_.rows)
+    total += row.lowered.capacity() * sizeof(std::pair<int, double>);
+  total += br_.rows.capacity() * sizeof(CandidateRow);
+  total += br_.row_state.capacity() * sizeof(std::uint8_t);
+  total += br_.outcomes.capacity() * sizeof(BranchOutcome);
+  for (const std::vector<double>& depth : br_branch_.depth_dist)
+    total += depth.capacity() * sizeof(double);
+  total += br_branch_.depth_dist.capacity() * sizeof(std::vector<double>);
   total += ladder_.cand.capacity() * sizeof(int);
   total += (ladder_.cand_w.capacity() + ladder_.base_dist.capacity() +
             ladder_.host_row.capacity() + ladder_.weight_row.capacity()) *

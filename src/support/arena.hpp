@@ -7,11 +7,14 @@
 // of that per-thread state into one object:
 //
 //   * the binary-heap and bucket-queue Dijkstra workspaces,
-//   * the IncrementalSssp instance best-response branches repair,
+//   * the IncrementalSssp instance that builds best-response candidate rows
+//     and the subset and per-depth distance vectors of a best-response DFS
+//     branch,
 //   * the deviation engine's scan scratch (owned-target and weight lists,
 //     per-candidate weight and addition-cost tables, side marks, DFS stack,
 //     distance-sum vector),
-//   * the best-response driver's candidate/weight/base-distance rows.
+//   * the best-response driver's candidate/weight/base-distance rows, its
+//     per-candidate rows and its per-branch outcomes.
 //
 // `worker_arena()` hands the calling thread its arena, creating and
 // registering it on first use.  The worker pool's threads persist for the
@@ -22,19 +25,25 @@
 // report fleet-wide footprint and tests can reason about reuse.
 //
 // Thread-safety: an arena is single-threaded by construction -- only the
-// owning thread ever touches it.  Code holding one arena reference must not
-// hand it to another thread, and nested users of the same thread must use
-// disjoint members (the engine's scan path uses scan buffers + a Dijkstra
-// workspace; best-response branches use the IncrementalSssp -- the members
-// are partitioned so no hot path aliases another's buffer).
+// owning thread ever touches it -- with one exception below.  Code holding
+// one arena reference must not hand it to another thread, and nested users
+// of the same thread must use disjoint members (the engine's scan path uses
+// scan buffers + a Dijkstra workspace; best-response branches use the
+// IncrementalSssp and BrBranchScratch -- the members are partitioned so no
+// hot path aliases another's buffer).  The exception is a best-response
+// search's driver scratch (BrScratch): the search's branches, on any
+// worker, fill each candidate row exactly once under its state byte and
+// then only read it, and each branch writes its own outcome slot.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
 #include "graph/incremental_sssp.hpp"
+#include "support/node_set.hpp"
 
 namespace gncg {
 
@@ -46,8 +55,18 @@ class ScratchArena {
   /// Bucket-queue Dijkstra workspace (integer-weight hosts).
   DialBuffers& dial() { return dial_; }
 
-  /// Incremental SSSP maintained along a best-response DFS branch.
+  /// Incremental SSSP that builds best-response candidate rows (one
+  /// single-insert repair from the search's base vector per row).
   IncrementalSssp& incremental_sssp() { return sssp_; }
+
+  /// State of the best-response DFS branch running on this thread: the
+  /// subset being explored and its distance vectors, entry d of depth_dist
+  /// holding the vector of the subset at DFS depth d + 1.
+  struct BrBranchScratch {
+    NodeSet current;
+    std::vector<std::vector<double>> depth_dist;
+  };
+  BrBranchScratch& br_branch() { return br_branch_; }
 
   /// Distance vector for sum-only SSSP queries (masked scans, strategy
   /// costs).  Distinct from the Dijkstra workspaces' internal vectors so a
@@ -81,6 +100,24 @@ class ScratchArena {
 
   // --- best-response driver scratch ---
 
+  /// One candidate's single-insert row: the nodes whose distance buying
+  /// that candidate alone lowers, with the lowered distances, and the
+  /// repair's frontier key (kInf when the repair ran to the fixpoint).
+  struct CandidateRow {
+    std::vector<std::pair<int, double>> lowered;
+    double frontier = kInf;
+  };
+
+  /// Result of one first-level best-response branch, folded in branch order
+  /// by the driver.
+  struct BranchOutcome {
+    double cost = kInf;
+    NodeSet strategy;
+    bool improved = false;
+    std::uint64_t evaluations = 0;
+    bool truncated = false;
+  };
+
   struct BrScratch {
     std::vector<std::pair<double, int>> order;  ///< (key, node) branch order
     std::vector<int> candidates;                ///< candidate purchase targets
@@ -88,6 +125,16 @@ class ScratchArena {
     std::vector<double> base_dist;              ///< SSSP from the empty set
     std::vector<double> host_row;               ///< host distances from u
     std::vector<double> weight_row;             ///< buy weights from u
+    /// Candidate rows by candidate index, built lazily during the search
+    /// (only the first `candidates.size()` entries are live; the rest keep
+    /// their capacity for later searches).
+    std::vector<CandidateRow> rows;
+    /// Per live row: 0 unbuilt, 1 being built, 2 built.  Accessed through
+    /// std::atomic_ref while the search's branches run.
+    std::vector<std::uint8_t> row_state;
+    /// Per first-level branch (first `candidates.size()` entries live);
+    /// each branch writes only its own slot.
+    std::vector<BranchOutcome> outcomes;
   };
   BrScratch& br() { return br_; }
 
@@ -119,6 +166,7 @@ class ScratchArena {
   DijkstraBuffers dijkstra_;
   DialBuffers dial_;
   IncrementalSssp sssp_;
+  BrBranchScratch br_branch_;
   std::vector<double> sum_dist_;
   ScanScratch scan_;
   BrScratch br_;

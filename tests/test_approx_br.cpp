@@ -1,13 +1,16 @@
 // Tests for the spatial candidate oracle and the approximate-BR ladder:
 // oracle determinism and full-budget identity with the dense enumeration,
 // grid k-NN against brute force, the shortlist-restricted exact search
-// against the naive baseline (bitwise at full coverage), the ladder's
+// against the naive baseline (bitwise at full coverage) and, under a repair
+// cap, against its own cap-0 optimum, the ladder's
 // certificates (upper bound, admissible lower bound, certified exactness),
 // and the euclidean backend's dial opt-out and untouched distance sums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "metric/spatial_index.hpp"
+#include "support/instrument.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 
@@ -213,6 +217,62 @@ TEST(RestrictedBrSearch, RestrictionIsExactOverTheShortlist) {
     }
     EXPECT_TRUE(fast.strategy == best_set) << "agent " << u;
     EXPECT_EQ(fast.cost, env.cost_of(best_set)) << "agent " << u;
+  }
+}
+
+TEST(RestrictedBrSearch, CappedRowsBoundTheExactRestrictedOptimum) {
+  // Under a repair cap every candidate row is one capped repair from the
+  // base vector, and a subset holding a truncated row is costed by the
+  // floor through PF = min F_v over its truncated rows.  A result with no
+  // truncated row on it is an exact evaluation, so it must be the cap-0
+  // restricted optimum bit for bit; a truncated result is a certified
+  // lower bound on it.
+  Rng rng(137);
+  namespace ins = ::gncg::instrument;
+  const std::uint64_t truncations_before =
+      ins::counter_total(ins::Counter::kSsspBoundedTruncations);
+  int exact_results = 0, truncated_results = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    const int n = 20 + 4 * (trial % 4);  // 20..32
+    const double alpha = rng.uniform_real(0.2, 3.0);
+    const double p = (trial % 3 == 0) ? 1.0 : (trial % 3 == 1 ? 2.0
+                                                              : kPNormInf);
+    const Game game = random_euclidean_game(n, alpha, p, rng);
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 4, rng);
+    DeviationEngine engine(game, profile);
+    std::vector<int> shortlist;
+    for (int u = 0; u < n; ++u) {
+      game.host().candidate_targets(u, 6, shortlist);
+      const AgentEnvironment env(engine, u);
+      BestResponseOptions exact_options;
+      exact_options.restrict_targets = &shortlist;
+      const BestResponseResult exact = exact_best_response(engine, u,
+                                                           exact_options);
+      for (const std::size_t cap : {1, 3, 8, 24}) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << " agent "
+                                          << u << " cap " << cap);
+        BestResponseOptions bounded_options = exact_options;
+        bounded_options.repair_cap = cap;
+        const BestResponseResult bounded =
+            exact_best_response(engine, u, bounded_options);
+        if (bounded.truncated) {
+          ++truncated_results;
+          EXPECT_LE(bounded.cost, exact.cost);
+        } else {
+          ++exact_results;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(bounded.cost),
+                    std::bit_cast<std::uint64_t>(exact.cost));
+          EXPECT_EQ(bounded.cost, env.cost_of(bounded.strategy));
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact_results, 0);
+  EXPECT_GT(truncated_results, 0);
+  if (ins::compiled_in()) {
+    EXPECT_GT(ins::counter_total(ins::Counter::kSsspBoundedTruncations),
+              truncations_before);
   }
 }
 

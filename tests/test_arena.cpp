@@ -9,6 +9,9 @@
 // future per-call vector, to_vector(), or std::function sneaking into the
 // scan/SSSP paths turns this red.
 //
+// The best-response probe allows one allocation per search: the strategy
+// the search returns.
+//
 // The probe runs the pool at one thread: parallel_for dispatch itself
 // allocates (a std::function per region), which is out of scope -- the
 // contract is about the per-item work, which is what executes on workers.
@@ -20,6 +23,8 @@
 #include <vector>
 
 #include "core/approx_br.hpp"
+#include "core/best_response.hpp"
+#include "core/br_search.hpp"
 #include "core/deviation_engine.hpp"
 #include "core/profile_gen.hpp"
 #include "graph/dijkstra.hpp"
@@ -145,6 +150,56 @@ TEST(ArenaProbe, WarmSingleMoveScansDoNotAllocate) {
 
   EXPECT_EQ(after - before, 0u)
       << "warm best_single_move_warm loop performed heap allocations";
+  EXPECT_EQ(checksum_probe, checksum_first);
+  set_default_thread_count(0);
+}
+
+TEST(ArenaProbe, RepeatedBestResponseSearchesReuseRowsAndDepthVectors) {
+  // Repeated br_search calls: the candidate rows, the per-branch outcomes,
+  // the branch's subset and its per-depth distance vectors all live in the
+  // arena and keep their capacity across searches, so a steady-state search
+  // allocates exactly one buffer -- the returned strategy's.  Restricted
+  // (shortlist, exact and capped rows) and unrestricted searches.
+  set_default_thread_count(1);
+  Rng rng(20261018);
+  const int n = 30;
+  const Game game(HostGraph::from_points(uniform_points(n, 2, 100.0, rng), 2.0),
+                  /*alpha=*/12.0);
+  DeviationEngine engine(game, random_profile(game, rng, 0.05));
+  std::vector<AgentEnvironment> envs;
+  std::vector<std::vector<int>> shortlists(static_cast<std::size_t>(n));
+  for (int u = 0; u < n; ++u) {
+    envs.emplace_back(engine, u);
+    game.host().candidate_targets(u, 7, shortlists[envs.size() - 1]);
+  }
+
+  std::size_t calls = 0;
+  auto loop = [&]() {
+    double checksum = 0.0;
+    for (std::size_t u = 0; u < envs.size(); ++u) {
+      BestResponseOptions options;
+      checksum += br_search_sum(envs[u], options).cost;
+      options.restrict_targets = &shortlists[u];
+      checksum += br_search_sum(envs[u], options).cost;
+      options.repair_cap = 3;
+      checksum += br_search_sum(envs[u], options).cost;
+      calls += 3;
+    }
+    return checksum;
+  };
+  const double checksum_first = loop();  // warm-up: arena reaches capacity
+  // The searches built several rows and went below depth 1.
+  EXPECT_GE(worker_arena().br().rows.size(), 7u);
+  EXPECT_GE(worker_arena().br_branch().depth_dist.size(), 2u);
+
+  calls = 0;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  double checksum_probe = 0.0;
+  for (int i = 0; i < 3; ++i) checksum_probe = loop();
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, calls)
+      << "steady-state br_search allocated beyond its returned strategy";
   EXPECT_EQ(checksum_probe, checksum_first);
   set_default_thread_count(0);
 }

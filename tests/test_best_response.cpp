@@ -1,18 +1,28 @@
 // Tests for best-response machinery: the pruned exact search against the
 // unpruned brute force, the incremental br_search engine against the naive
-// per-subset-Dijkstra baseline, single-move scans, and the improvement
-// predicate.
+// per-subset-Dijkstra baseline and against a frozen copy of its former
+// stacked-repair DFS, single-move scans, and the improvement predicate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/best_response.hpp"
+#include "core/br_search.hpp"
 #include "core/deviation_engine.hpp"
 #include "core/dynamics.hpp"
+#include "graph/dijkstra.hpp"
+#include "graph/incremental_sssp.hpp"
 #include "metric/host_graph.hpp"
 #include "metric/points.hpp"
 #include "metric/tree.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
+#include "variants/max_game.hpp"
 
 namespace gncg {
 namespace {
@@ -315,6 +325,264 @@ TEST(BrSearchDifferential, ThreadCountInvariant) {
     }
   }
   set_default_thread_count(0);
+}
+
+// --- row-min search vs the frozen stacked-repair DFS ----------------------
+//
+// br_search keeps the subset's distance vector as the pointwise minimum of
+// per-candidate single-insert rows.  Before that it kept one vector per
+// branch, repaired incrementally on every DFS insert and rolled back on
+// every backtrack.  The copy below freezes that DFS (cap 0, serial, branch
+// by branch with branch-local incumbents -- the fold the parallel driver
+// reproduces) on the public IncrementalSssp; the row-min search must match
+// it bit for bit: strategy, cost bits, improved, and the full-mode
+// evaluation count, which pins every pruning decision.
+
+/// SUM or MAX aggregation of a distance vector, in increasing node order.
+double frozen_distance_term(const std::vector<double>& dist, bool max_obj) {
+  double total = 0.0;
+  for (double d : dist) total = max_obj ? std::max(total, d) : total + d;
+  return total;
+}
+
+/// sum/max over t of max(host(t), min(dist(t), w_next)).
+double frozen_tight_floor(const std::vector<double>& host_row,
+                          const std::vector<double>& dist, double w_next,
+                          bool max_obj) {
+  double total = 0.0;
+  for (std::size_t t = 0; t < dist.size(); ++t) {
+    const double floor = std::max(host_row[t], std::min(dist[t], w_next));
+    total = max_obj ? std::max(total, floor) : total + floor;
+  }
+  return total;
+}
+
+struct FrozenBranch {
+  const AgentEnvironment* env = nullptr;
+  const std::vector<int>* candidates = nullptr;
+  const std::vector<double>* weights = nullptr;
+  const std::vector<double>* weight_row = nullptr;
+  const std::vector<double>* host_row = nullptr;
+  bool max_obj = false;
+  double cheap_floor = 0.0;
+  double base_bound = kInf;
+  double incumbent = kInf;
+  bool first_improvement = false;
+  IncrementalSssp sssp;
+  NodeSet current;
+  double current_weight = 0.0;
+  BestResponseResult result;
+  bool done = false;
+
+  double alpha() const { return env->game().alpha(); }
+  double bound() const { return std::min(result.cost, base_bound); }
+
+  void evaluate() {
+    double edge_sum = 0.0;
+    current.for_each(
+        [&](int v) { edge_sum += (*weight_row)[static_cast<std::size_t>(v)]; });
+    const double cost =
+        alpha() * edge_sum + frozen_distance_term(sssp.dist(), max_obj);
+    ++result.evaluations;
+    if (improves(cost, bound())) {
+      result.cost = cost;
+      result.strategy = current;
+      result.improved = improves(cost, incumbent);
+      if (first_improvement && result.improved) done = true;
+    }
+  }
+
+  bool pruned(std::size_t i) const {
+    const double b = bound();
+    const double edge_cost = alpha() * (current_weight + (*weights)[i]);
+    if (!improves(edge_cost + cheap_floor, b)) return true;
+    return !improves(edge_cost + frozen_tight_floor(*host_row, sssp.dist(),
+                                                    (*weights)[i], max_obj),
+                     b);
+  }
+
+  void insert(std::size_t i) {
+    current.insert((*candidates)[i]);
+    current_weight += (*weights)[i];
+    sssp.relax_insert((*candidates)[i], (*weights)[i],
+                      [this](int x, auto&& visit) {
+                        env->for_neighbors(x, visit);
+                      });
+  }
+
+  void remove(std::size_t i, IncrementalSssp::Checkpoint mark) {
+    sssp.rollback(mark);
+    current.erase((*candidates)[i]);
+    current_weight -= (*weights)[i];
+  }
+
+  void descend(std::size_t start) {
+    for (std::size_t i = start; i < candidates->size() && !done; ++i) {
+      if (pruned(i)) break;
+      const IncrementalSssp::Checkpoint mark = sssp.checkpoint();
+      insert(i);
+      evaluate();
+      if (!done) descend(i + 1);
+      remove(i, mark);
+    }
+  }
+};
+
+/// The frozen stacked-repair search (repair cap 0).
+BestResponseResult frozen_br_search(const AgentEnvironment& env,
+                                    const BestResponseOptions& options,
+                                    bool max_obj) {
+  const Game& game = env.game();
+  const int n = game.node_count();
+  const int u = env.agent();
+  std::vector<std::pair<double, int>> order;
+  if (options.restrict_targets != nullptr) {
+    for (int v : *options.restrict_targets)
+      if (game.can_buy(u, v)) order.emplace_back(game.weight(u, v), v);
+  } else {
+    for (int v = 0; v < n; ++v)
+      if (game.can_buy(u, v)) order.emplace_back(game.weight(u, v), v);
+  }
+  std::sort(order.begin(), order.end());
+  order.erase(std::unique(order.begin(), order.end()), order.end());
+  std::vector<int> candidates;
+  std::vector<double> weights;
+  for (const auto& [w, v] : order) {
+    candidates.push_back(v);
+    weights.push_back(w);
+  }
+  std::vector<double> base;
+  dijkstra_over(
+      n, u, [&](int x, auto&& visit) { env.for_neighbors(x, visit); }, base);
+  std::vector<double> host_row(static_cast<std::size_t>(n));
+  std::vector<double> weight_row(static_cast<std::size_t>(n), kInf);
+  for (int v = 0; v < n; ++v)
+    host_row[static_cast<std::size_t>(v)] = game.host_distance(u, v);
+  for (std::size_t i = 0; i < candidates.size(); ++i)
+    weight_row[static_cast<std::size_t>(candidates[i])] = weights[i];
+  const double cheap_floor = frozen_distance_term(host_row, max_obj);
+
+  BestResponseResult result;
+  result.strategy = NodeSet(n);
+  const double empty_cost =
+      game.alpha() * 0.0 + frozen_distance_term(base, max_obj);
+  result.evaluations = 1;
+  if (improves(empty_cost, options.incumbent)) {
+    result.cost = empty_cost;
+    result.improved = true;
+    if (options.first_improvement) return result;
+  }
+  const double base_bound = std::min(result.cost, options.incumbent);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const double entry_edge = game.alpha() * (0.0 + weights[i]);
+    if (!improves(entry_edge + cheap_floor, base_bound)) continue;
+    if (!improves(entry_edge + frozen_tight_floor(host_row, base, weights[i],
+                                                  max_obj),
+                  base_bound))
+      continue;
+    FrozenBranch branch;
+    branch.env = &env;
+    branch.candidates = &candidates;
+    branch.weights = &weights;
+    branch.weight_row = &weight_row;
+    branch.host_row = &host_row;
+    branch.max_obj = max_obj;
+    branch.cheap_floor = cheap_floor;
+    branch.base_bound = base_bound;
+    branch.incumbent = options.incumbent;
+    branch.first_improvement = options.first_improvement;
+    branch.sssp.reset(base);
+    branch.current = NodeSet(n);
+    branch.result.strategy = NodeSet(n);
+    const IncrementalSssp::Checkpoint mark = branch.sssp.checkpoint();
+    branch.insert(i);
+    branch.evaluate();
+    if (!branch.done) branch.descend(i + 1);
+    branch.remove(i, mark);
+
+    const BestResponseResult& out = branch.result;
+    result.evaluations += out.evaluations;
+    if (options.first_improvement) {
+      if (out.improved) {
+        result.cost = out.cost;
+        result.strategy = out.strategy;
+        result.improved = true;
+        return result;  // the lowest improving branch wins the fold
+      }
+    } else if (improves(out.cost, std::min(result.cost, options.incumbent))) {
+      result.cost = out.cost;
+      result.strategy = out.strategy;
+      result.improved = improves(result.cost, options.incumbent);
+    }
+  }
+  if (!(result.cost < kInf) && !(options.incumbent < kInf))
+    result.cost = empty_cost;
+  return result;
+}
+
+TEST(BrSearchRowMin, MatchesFrozenStackedRepairSearchBitwise) {
+  // Hosts: dense model classes (metric, 1-2, general, 1-inf), euclidean
+  // L2 and tree.  Per agent: full argmin and first-improvement
+  // certification, unrestricted and restricted to a random target list
+  // (with repeats and unpurchasable entries), SUM and MAX, at 1 and 4
+  // workers.
+  Rng rng(2027);
+  int improving = 0, searches = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const int n = 7 + (trial % 5);  // 7..11
+    const double alpha = rng.uniform_real(0.2, 4.0);
+    const Game game = random_backend_game(n, alpha, trial, rng);
+    StrategyProfile profile = random_profile(game, rng);
+    force_mutual_buys(game, profile, n / 3, rng);
+    DeviationEngine engine(game, profile);
+    for (int u = 0; u < n; ++u) {
+      std::vector<int> shortlist;
+      for (int v = 0; v < n; ++v)
+        if (rng.bernoulli(0.6)) shortlist.push_back(v);
+      if (!shortlist.empty()) shortlist.push_back(shortlist.front());
+      const AgentEnvironment env(engine, u);
+      for (const bool max_obj : {false, true}) {
+        for (const bool restricted : {false, true}) {
+          for (const bool certify : {false, true}) {
+            BestResponseOptions options;
+            if (restricted) options.restrict_targets = &shortlist;
+            if (certify) {
+              options.incumbent = max_obj ? max_agent_cost(game, profile, u)
+                                          : agent_cost(game, profile, u);
+              options.first_improvement = true;
+            }
+            const BestResponseResult ref =
+                frozen_br_search(env, options, max_obj);
+            for (const std::size_t threads : {1, 4}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "trial " << trial << " agent " << u << " max "
+                           << max_obj << " restricted " << restricted
+                           << " certify " << certify << " threads "
+                           << threads);
+              set_default_thread_count(threads);
+              const BestResponseResult got =
+                  max_obj ? br_search_max(env, options)
+                          : br_search_sum(env, options);
+              EXPECT_TRUE(got.strategy == ref.strategy);
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cost),
+                        std::bit_cast<std::uint64_t>(ref.cost));
+              EXPECT_EQ(got.improved, ref.improved);
+              if (!certify) {
+                EXPECT_EQ(got.evaluations, ref.evaluations);
+              }
+              EXPECT_FALSE(got.truncated);
+            }
+            ++searches;
+            if (ref.improved && certify) ++improving;
+          }
+        }
+      }
+    }
+  }
+  set_default_thread_count(0);
+  // Certification must see both verdicts.
+  EXPECT_GT(improving, 0);
+  EXPECT_LT(improving, searches / 2);
 }
 
 // --- AgentEnvironment borrow mode (double-ownership masking) --------------

@@ -19,6 +19,7 @@
 #include "core/transposition.hpp"
 #include "constructions/cycle_instances.hpp"
 #include "metric/host_graph.hpp"
+#include "support/instrument.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -441,8 +442,17 @@ TEST(ParallelMgm, MoveBudgetEndsInsideARoundAtExactlyMaxMoves) {
     ++cut;
   ASSERT_LT(cut + 1, full.steps.size()) << "no multi-commit round";
   options.max_moves = cut + 1;
+  const std::uint64_t commits_before =
+      instrument::counter_total(instrument::Counter::kMgmCommits);
   const auto cut_run = run_dynamics(game, start, options);
   EXPECT_EQ(cut_run.moves, options.max_moves);
+  // The commit counter counts the moves applied, not the round's selection
+  // before the budget cut (0 == 0 under GNCG_INSTRUMENT=OFF).
+  if (instrument::compiled_in()) {
+    EXPECT_EQ(instrument::counter_total(instrument::Counter::kMgmCommits) -
+                  commits_before,
+              cut_run.moves);
+  }
   EXPECT_FALSE(cut_run.converged);
   ASSERT_EQ(cut_run.steps.size(), cut + 1);
   for (std::size_t i = 0; i < cut_run.steps.size(); ++i) {
