@@ -1,12 +1,16 @@
 #include "metric/instance_io.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -27,9 +31,30 @@ bool next_line(std::istream& is, std::string& line) {
   return false;
 }
 
-double parse_weight(const std::string& token) {
+/// Parses `token` whole as a number of type T (integers in `base`).  An
+/// empty, malformed, partial ("3x") or out-of-range token contract-fails,
+/// naming `line`, instead of escaping as a std:: exception or loading as a
+/// prefix.
+template <class T>
+T parse_token(const std::string& token, const std::string& line,
+              int base = 10) {
+  T value{};
+  const char* const first = token.data();
+  const char* const last = first + token.size();
+  std::from_chars_result result{};
+  if constexpr (std::is_floating_point_v<T>)
+    result = std::from_chars(first, last, value);
+  else
+    result = std::from_chars(first, last, value, base);
+  GNCG_CHECK(result.ec == std::errc() && result.ptr == last,
+             "malformed number '" << token << "' in: " << line);
+  return value;
+}
+
+/// A weight, coordinate or norm token: a number or "inf".
+double parse_weight(const std::string& token, const std::string& line) {
   if (token == "inf") return kInf;
-  return std::stod(token);
+  return parse_token<double>(token, line);
 }
 
 std::string format_weight(double w) {
@@ -40,10 +65,18 @@ std::string format_weight(double w) {
   return os.str();
 }
 
+/// The value token of a "<key> <value>" line.
+std::string value_token(const std::string& line) {
+  std::istringstream tokens(line);
+  std::string key, value;
+  tokens >> key >> value;
+  return value;
+}
+
 /// Parses "n <count>" from an already-read content line.
 int parse_node_count(const std::string& line, bool have_line) {
   GNCG_CHECK(have_line && line.rfind("n ", 0) == 0, "missing node count");
-  const int n = std::stoi(line.substr(2));
+  const int n = parse_token<int>(value_token(line), line);
   GNCG_CHECK(n >= 1, "invalid node count " << n);
   return n;
 }
@@ -66,18 +99,12 @@ bool read_extension_block(std::istream& is, std::string& line,
     tokens >> key >> value;
     GNCG_CHECK(!value.empty(), "extension line misses its value: " << line);
     if (provenance != nullptr) {
-      // stoull throws raw std::invalid_argument/out_of_range; keep the
-      // header's "contract-fails on malformed input" promise instead.
-      try {
-        if (key == "x-scenario") provenance->scenario = value;
-        else if (key == "x-point")
-          provenance->point_index = std::stoull(value);
-        else if (key == "x-stream")
-          provenance->stream = std::stoull(value, nullptr, 16);
-        // other x- keys: written by a newer tool, intentionally ignored
-      } catch (const std::exception&) {
-        GNCG_CHECK(false, "malformed extension value: " << line);
-      }
+      if (key == "x-scenario") provenance->scenario = value;
+      else if (key == "x-point")
+        provenance->point_index = parse_token<std::uint64_t>(value, line);
+      else if (key == "x-stream")
+        provenance->stream = parse_token<std::uint64_t>(value, line, 16);
+      // other x- keys: written by a newer tool, intentionally ignored
     }
     have_line = next_line(is, line);
   }
@@ -91,10 +118,11 @@ DistanceMatrix read_weight_lines(std::istream& is, std::string& line, int n) {
       static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0);
   while (next_line(is, line)) {
     std::istringstream tokens(line);
-    std::string tag, weight_token;
-    int u = -1, v = -1;
-    tokens >> tag >> u >> v >> weight_token;
+    std::string tag, u_token, v_token, weight_token;
+    tokens >> tag >> u_token >> v_token >> weight_token;
     GNCG_CHECK(tag == "w" && tokens, "malformed weight line: " << line);
+    const int u = parse_token<int>(u_token, line);
+    const int v = parse_token<int>(v_token, line);
     GNCG_CHECK(u >= 0 && u < n && v >= 0 && v < n && u != v,
                "weight line out of range: " << line);
     const auto index =
@@ -102,7 +130,7 @@ DistanceMatrix read_weight_lines(std::istream& is, std::string& line, int n) {
         static_cast<std::size_t>(std::max(u, v));
     GNCG_CHECK(!seen[index], "duplicate pair in host file: " << line);
     seen[index] = 1;
-    weights.set_symmetric(u, v, parse_weight(weight_token));
+    weights.set_symmetric(u, v, parse_weight(weight_token, line));
   }
   for (int u = 0; u < n; ++u)
     for (int v = u + 1; v < n; ++v) {
@@ -134,20 +162,20 @@ HostGraph load_host_v2(std::istream& is, std::string& line,
                    << model_name(*model));
     GNCG_CHECK(have_payload && line.rfind("p ", 0) == 0,
                "missing norm line");
-    const double p = parse_weight(line.substr(2));
+    const double p = parse_weight(value_token(line), line);
     GNCG_CHECK(next_line(is, line) && line.rfind("dim ", 0) == 0,
                "missing dim line");
-    const int dim = std::stoi(line.substr(4));
+    const int dim = parse_token<int>(value_token(line), line);
     GNCG_CHECK(dim >= 1, "invalid point dimension " << dim);
     const int n = read_node_count(is, line);
     PointSet points(n, dim);
     std::vector<char> seen(static_cast<std::size_t>(n), 0);
     while (next_line(is, line)) {
       std::istringstream tokens(line);
-      std::string tag;
-      int i = -1;
-      tokens >> tag >> i;
+      std::string tag, index_token;
+      tokens >> tag >> index_token;
       GNCG_CHECK(tag == "point" && tokens, "malformed point line: " << line);
+      const int i = parse_token<int>(index_token, line);
       GNCG_CHECK(i >= 0 && i < n, "point index out of range: " << line);
       GNCG_CHECK(!seen[static_cast<std::size_t>(i)],
                  "duplicate point in host file: " << line);
@@ -156,7 +184,7 @@ HostGraph load_host_v2(std::istream& is, std::string& line,
         std::string coord;
         tokens >> coord;
         GNCG_CHECK(tokens, "point line has too few coordinates: " << line);
-        const double value = parse_weight(coord);
+        const double value = parse_weight(coord, line);
         // Coordinates may be negative but must be finite: a NaN/inf here
         // would silently poison every weight, unlike the dense path where
         // HostGraph::validated rejects such entries.
@@ -180,13 +208,14 @@ HostGraph load_host_v2(std::istream& is, std::string& line,
     std::vector<Edge> edges;
     while (next_line(is, line)) {
       std::istringstream tokens(line);
-      std::string tag, weight_token;
-      int u = -1, v = -1;
-      tokens >> tag >> u >> v >> weight_token;
+      std::string tag, u_token, v_token, weight_token;
+      tokens >> tag >> u_token >> v_token >> weight_token;
       GNCG_CHECK(tag == "tedge" && tokens, "malformed tree line: " << line);
+      const int u = parse_token<int>(u_token, line);
+      const int v = parse_token<int>(v_token, line);
       GNCG_CHECK(u >= 0 && u < n && v >= 0 && v < n && u != v,
                  "tree edge out of range: " << line);
-      edges.push_back({u, v, parse_weight(weight_token)});
+      edges.push_back({u, v, parse_weight(weight_token, line)});
     }
     return HostGraph::from_tree(WeightedTree(n, std::move(edges)));
   }
@@ -264,9 +293,9 @@ HostGraph load_host(std::istream& is, HostProvenance* provenance) {
   GNCG_CHECK(next_line(is, line) && line.rfind("gncg-host", 0) == 0,
              "missing gncg-host header");
   std::istringstream header(line);
-  std::string tag;
-  int version = 0;
-  header >> tag >> version;
+  std::string tag, version_token;
+  header >> tag >> version_token;
+  const int version = parse_token<int>(version_token, line);
   GNCG_CHECK(version == 1 || version == 2,
              "unsupported gncg-host version: " << line);
   if (version == 2) return load_host_v2(is, line, provenance);
@@ -287,16 +316,15 @@ StrategyProfile load_profile(std::istream& is) {
   std::string line;
   GNCG_CHECK(next_line(is, line) && line.rfind("gncg-profile", 0) == 0,
              "missing gncg-profile header");
-  GNCG_CHECK(next_line(is, line) && line.rfind("n ", 0) == 0,
-             "missing node count");
-  const int n = std::stoi(line.substr(2));
+  const int n = read_node_count(is, line);
   StrategyProfile profile(n);
   while (next_line(is, line)) {
     std::istringstream tokens(line);
-    std::string tag;
-    int owner = -1, target = -1;
-    tokens >> tag >> owner >> target;
+    std::string tag, owner_token, target_token;
+    tokens >> tag >> owner_token >> target_token;
     GNCG_CHECK(tag == "buy" && tokens, "malformed buy line: " << line);
+    const int owner = parse_token<int>(owner_token, line);
+    const int target = parse_token<int>(target_token, line);
     GNCG_CHECK(owner >= 0 && owner < n && target >= 0 && target < n &&
                    owner != target,
                "buy line out of range: " << line);

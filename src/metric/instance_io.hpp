@@ -57,15 +57,17 @@ void save_host(std::ostream& os, const HostGraph& host,
 
 /// Parses a host written by save_host (version 1 or 2), reconstructing the
 /// recorded backend kind.  Contract-fails on malformed input (bad header,
-/// missing pairs, asymmetric duplicates, unknown backend).  When
-/// `provenance` is non-null and the file carries an x- block, it is filled
-/// in (left untouched otherwise).
+/// missing pairs, asymmetric duplicates, unknown backend, a number token
+/// that is malformed, partial or out of range).  When `provenance` is
+/// non-null and the file carries an x- block, it is filled in (left
+/// untouched otherwise).
 HostGraph load_host(std::istream& is, HostProvenance* provenance = nullptr);
 
 /// Writes a strategy profile (ownership list).
 void save_profile(std::ostream& os, const StrategyProfile& profile);
 
-/// Parses a profile written by save_profile.
+/// Parses a profile written by save_profile; contract-fails on malformed
+/// input like load_host.
 StrategyProfile load_profile(std::istream& is);
 
 }  // namespace gncg

@@ -30,6 +30,7 @@
 #include "metric/points.hpp"
 #include "metric/tree.hpp"
 #include "support/instrument.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace gncg {
@@ -687,6 +688,46 @@ TEST(DeviationEngine, BatchedSetStrategiesMatchesSequentialSetStrategy) {
       EXPECT_EQ(batched.distance_cost(u), sequential.distance_cost(u))
           << "round " << round << " agent " << u;
   }
+}
+
+TEST(DeviationEngine, WarmSweepIsBitwiseIdenticalAcrossThreadCounts) {
+  // The parallel warm sweep: flip one edge, re-warm every distance cache
+  // (dial kernel on a {1,2} host), then scan every agent's best single move
+  // over the pool.  Each agent's scan is independent of the others, so the
+  // cost vectors must match bit-for-bit at 1 and 4 workers.
+  constexpr int kNodes = 64;  // above parallel_for's serial cutoff
+  constexpr int kRounds = 4;
+  auto sweep = [&](std::size_t threads) {
+    set_default_thread_count(threads);
+    Rng rng(6363);
+    const Game game(random_one_two_host(kNodes, 0.5, rng), 1.5);
+    DeviationEngine engine(game, random_profile(game, rng, 0.2));
+    int flip_u = -1, flip_v = -1;
+    for (int u = 0; u < kNodes && flip_u < 0; ++u)
+      for (int v = u + 1; v < kNodes && flip_u < 0; ++v)
+        if (!engine.profile().has_edge(u, v)) {
+          flip_u = u;
+          flip_v = v;
+        }
+    EXPECT_GE(flip_u, 0);
+    std::vector<std::uint64_t> bits(static_cast<std::size_t>(kNodes) *
+                                    kRounds);
+    for (int r = 0; r < kRounds; ++r) {
+      if (r % 2 == 0) engine.add_buy(flip_u, flip_v);
+      else engine.remove_buy(flip_u, flip_v);
+      engine.warm_distances();
+      std::uint64_t* row = bits.data() + static_cast<std::size_t>(r) * kNodes;
+      parallel_for(0, static_cast<std::size_t>(kNodes), [&](std::size_t a) {
+        row[a] = std::bit_cast<std::uint64_t>(
+            engine.best_single_move_warm(static_cast<int>(a)).cost);
+      });
+    }
+    return bits;
+  };
+  const std::vector<std::uint64_t> serial = sweep(1);
+  const std::vector<std::uint64_t> pooled = sweep(4);
+  set_default_thread_count(0);
+  EXPECT_EQ(serial, pooled);
 }
 
 TEST(DeviationEngine, MoveConflictSetCoversTouchedEndpoints) {

@@ -162,6 +162,38 @@ TEST(InstanceIo, RejectsMalformedInput) {
     std::stringstream buffer("gncg-profile 1\nn 2\nbuy 0 0\n");  // self loop
     EXPECT_THROW(load_profile(buffer), ContractViolation);
   }
+  // Number tokens parse whole: a malformed, partial or out-of-range token
+  // is a contract failure, never a std:: exception or a silently loaded
+  // prefix.
+  for (const char* host : {
+           "gncg-host 1\nn 99999999999\n",              // out-of-range count
+           "gncg-host 1\nn 2\nw 0 1 abc\n",             // malformed weight
+           "gncg-host 1\nn 2\nw 0 1 2.5junk\n",         // partial weight
+           "gncg-host 1\nn 2x\nw 0 1 1\n",              // partial count
+           "gncg-host 1\nn 2\nw 0 1x 2\n",              // partial index
+           "gncg-host 1x\nn 2\nw 0 1 2\n",              // partial version
+           "gncg-host 2\nbackend euclidean\nmodel Rd-GNCG\np 2\n"
+           "dim 1d\nn 2\npoint 0 0\npoint 1 1\n",       // partial dim
+           "gncg-host 2\nbackend euclidean\nmodel Rd-GNCG\np 2\n"
+           "dim 1\nn 2\npoint 0 0\npoint 1 1e999\n",    // out-of-range coord
+           "gncg-host 2\nbackend tree\nmodel T-GNCG\n"
+           "n 2\ntedge 0 1 1..5\n",                     // malformed tree weight
+           "gncg-host 2\nbackend dense\nmodel GNCG\n"
+           "x-point 12q\nn 2\nw 0 1 1\n",               // partial provenance
+       }) {
+    SCOPED_TRACE(host);
+    std::stringstream buffer(host);
+    HostProvenance provenance;
+    EXPECT_THROW(load_host(buffer, &provenance), ContractViolation);
+  }
+  for (const char* profile : {
+           "gncg-profile 1\nn abc\n",                   // malformed count
+           "gncg-profile 1\nn 2\nbuy 0 1x\n",           // partial target
+       }) {
+    SCOPED_TRACE(profile);
+    std::stringstream buffer(profile);
+    EXPECT_THROW(load_profile(buffer), ContractViolation);
+  }
 }
 
 }  // namespace
