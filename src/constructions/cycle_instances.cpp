@@ -44,29 +44,6 @@ CycleSearchResult find_tree_fip_violation(int n, int max_trees,
   return result;
 }
 
-CycleSearchResult search_theorem14_cycle(int tree_count, int attempts_per_tree,
-                                         std::uint64_t seed, double alpha) {
-  CycleSearchResult result;
-  result.alpha = alpha;
-  Rng rng(seed);
-  const auto weights = theorem14_weight_multiset();
-  const int n = static_cast<int>(weights.size()) + 1;
-  for (int t = 0; t < tree_count; ++t) {
-    WeightedTree tree = random_tree_with_weights(n, weights, rng);
-    Game game(HostGraph::from_tree(tree), alpha);
-    FipAnalysis analysis =
-        search_best_response_cycle(game, attempts_per_tree, rng());
-    result.attempts += analysis.states_visited;
-    if (analysis.cycle_found) {
-      result.found = true;
-      result.tree = std::move(tree);
-      result.analysis = std::move(analysis);
-      return result;
-    }
-  }
-  return result;
-}
-
 PointSet conjecture1_euclidean_points() {
   return PointSet({{2.0, 0.0},
                    {3.0, 0.0},

@@ -2,12 +2,10 @@
 // property on tree metrics or 1-norm points).
 //
 // Figure 5's tree drawing does not fully specify its edge set in the paper
-// text, so the Theorem 14 reproduction combines (a) exhaustive
-// improvement-graph analysis of small random tree metrics -- a rigorous
-// FIP-violation witness -- and (b) heuristic best-response-cycle search over
-// 10-node trees carrying the paper's exact weight multiset
-// {3,7,2,5,12,9,11,2,10}.  Figure 8's ten points are given exactly in the
-// text and are reproduced verbatim for Theorem 17.
+// text, so the Theorem 14 reproduction is exhaustive improvement-graph
+// analysis of small random tree metrics -- a rigorous FIP-violation
+// witness.  Figure 8's ten points are given exactly in the text and are
+// reproduced verbatim for Theorem 17.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +41,6 @@ struct CycleSearchResult {
 CycleSearchResult find_tree_fip_violation(int n, int max_trees,
                                           std::uint64_t seed, double alpha,
                                           bool best_response_arcs_only = false);
-
-/// Heuristic Theorem 14 search: random 10-node trees with the paper's
-/// weight multiset, best-response dynamics with profile-revisit detection.
-CycleSearchResult search_theorem14_cycle(int tree_count, int attempts_per_tree,
-                                         std::uint64_t seed, double alpha);
 
 /// Heuristic Theorem 17 search on the exact Figure 8 point set under the
 /// 1-norm, over an alpha grid.

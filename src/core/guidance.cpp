@@ -1,6 +1,6 @@
 #include "core/guidance.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "core/equilibrium.hpp"
 #include "core/ownership.hpp"
@@ -35,13 +35,6 @@ double GuidanceComparison::random_mean_cost() const {
     ++converged;
   }
   return converged == 0 ? kInf : total / converged;
-}
-
-double GuidanceComparison::random_best_cost() const {
-  double best = kInf;
-  for (const auto& run : random_runs)
-    if (run.converged) best = std::min(best, run.social_cost);
-  return best;
 }
 
 namespace {

@@ -44,8 +44,6 @@ struct GuidanceComparison {
 
   /// Mean social cost of converged random runs (kInf if none converged).
   double random_mean_cost() const;
-  /// Best (lowest) converged random-run cost (kInf if none).
-  double random_best_cost() const;
 };
 
 struct GuidanceOptions {

@@ -19,16 +19,33 @@ namespace gncg {
 
 namespace {
 
-/// Reads the next content line (skipping blanks and '#' comments).
+/// Reads the next content line (skipping blanks and '#' comments), with
+/// leading and trailing whitespace stripped -- a CRLF file's '\r' included.
 bool next_line(std::istream& is, std::string& line) {
   while (std::getline(is, line)) {
     const auto start = line.find_first_not_of(" \t\r");
     if (start == std::string::npos) continue;
     if (line[start] == '#') continue;
-    line = line.substr(start);
+    line = line.substr(start, line.find_last_not_of(" \t\r") + 1 - start);
     return true;
   }
   return false;
+}
+
+/// The whitespace-separated fields of the record `line`.  Contract-fails
+/// unless its first field is `tag` and it has exactly `count` fields, the
+/// tag included, so a missing or trailing token never loads silently.
+std::vector<std::string> record_fields(const std::string& line,
+                                       const std::string& tag,
+                                       std::size_t count) {
+  std::vector<std::string> fields;
+  std::istringstream tokens(line);
+  for (std::string token; tokens >> token;) fields.push_back(std::move(token));
+  GNCG_CHECK(!fields.empty() && fields.front() == tag,
+             "expected a '" << tag << "' line, got: " << line);
+  GNCG_CHECK(fields.size() == count, "'" << tag << "' line needs exactly "
+                                         << count - 1 << " value(s): " << line);
+  return fields;
 }
 
 /// Parses `token` whole as a number of type T (integers in `base`).  An
@@ -65,18 +82,17 @@ std::string format_weight(double w) {
   return os.str();
 }
 
-/// The value token of a "<key> <value>" line.
-std::string value_token(const std::string& line) {
-  std::istringstream tokens(line);
-  std::string key, value;
-  tokens >> key >> value;
-  return value;
+/// The value of the "<key> <value>" record read into `line`; `have_line`
+/// says whether there was a line at all.
+std::string key_value(const std::string& line, bool have_line,
+                      const std::string& key) {
+  GNCG_CHECK(have_line, "missing '" << key << "' line");
+  return record_fields(line, key, 2)[1];
 }
 
 /// Parses "n <count>" from an already-read content line.
 int parse_node_count(const std::string& line, bool have_line) {
-  GNCG_CHECK(have_line && line.rfind("n ", 0) == 0, "missing node count");
-  const int n = parse_token<int>(value_token(line), line);
+  const int n = parse_token<int>(key_value(line, have_line, "n"), line);
   GNCG_CHECK(n >= 1, "invalid node count " << n);
   return n;
 }
@@ -98,14 +114,17 @@ bool read_extension_block(std::istream& is, std::string& line,
     std::string key, value;
     tokens >> key >> value;
     GNCG_CHECK(!value.empty(), "extension line misses its value: " << line);
-    if (provenance != nullptr) {
-      if (key == "x-scenario") provenance->scenario = value;
-      else if (key == "x-point")
-        provenance->point_index = parse_token<std::uint64_t>(value, line);
-      else if (key == "x-stream")
-        provenance->stream = parse_token<std::uint64_t>(value, line, 16);
-      // other x- keys: written by a newer tool, intentionally ignored
+    if (key == "x-scenario" || key == "x-point" || key == "x-stream") {
+      value = record_fields(line, key, 2)[1];
+      if (provenance != nullptr) {
+        if (key == "x-scenario") provenance->scenario = value;
+        else if (key == "x-point")
+          provenance->point_index = parse_token<std::uint64_t>(value, line);
+        else
+          provenance->stream = parse_token<std::uint64_t>(value, line, 16);
+      }
     }
+    // other x- keys: written by a newer tool, intentionally ignored
     have_line = next_line(is, line);
   }
   return have_line;
@@ -117,12 +136,9 @@ DistanceMatrix read_weight_lines(std::istream& is, std::string& line, int n) {
   std::vector<char> seen(
       static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0);
   while (next_line(is, line)) {
-    std::istringstream tokens(line);
-    std::string tag, u_token, v_token, weight_token;
-    tokens >> tag >> u_token >> v_token >> weight_token;
-    GNCG_CHECK(tag == "w" && tokens, "malformed weight line: " << line);
-    const int u = parse_token<int>(u_token, line);
-    const int v = parse_token<int>(v_token, line);
+    const auto fields = record_fields(line, "w", 4);
+    const int u = parse_token<int>(fields[1], line);
+    const int v = parse_token<int>(fields[2], line);
     GNCG_CHECK(u >= 0 && u < n && v >= 0 && v < n && u != v,
                "weight line out of range: " << line);
     const auto index =
@@ -130,7 +146,7 @@ DistanceMatrix read_weight_lines(std::istream& is, std::string& line, int n) {
         static_cast<std::size_t>(std::max(u, v));
     GNCG_CHECK(!seen[index], "duplicate pair in host file: " << line);
     seen[index] = 1;
-    weights.set_symmetric(u, v, parse_weight(weight_token, line));
+    weights.set_symmetric(u, v, parse_weight(fields[3], line));
   }
   for (int u = 0; u < n; ++u)
     for (int v = u + 1; v < n; ++v) {
@@ -144,12 +160,10 @@ DistanceMatrix read_weight_lines(std::istream& is, std::string& line, int n) {
 
 HostGraph load_host_v2(std::istream& is, std::string& line,
                        HostProvenance* provenance) {
-  GNCG_CHECK(next_line(is, line) && line.rfind("backend ", 0) == 0,
-             "missing backend line");
-  const std::string backend = line.substr(8);
-  GNCG_CHECK(next_line(is, line) && line.rfind("model ", 0) == 0,
-             "missing model line");
-  const auto model = model_from_name(line.substr(6));
+  const std::string backend =
+      key_value(line, next_line(is, line), "backend");
+  const auto model =
+      model_from_name(key_value(line, next_line(is, line), "model"));
   GNCG_CHECK(model.has_value(), "unknown model name in host file: " << line);
   const bool have_payload = read_extension_block(is, line, provenance);
 
@@ -160,31 +174,24 @@ HostGraph load_host_v2(std::istream& is, std::string& line,
                "euclidean backend requires model "
                    << model_name(ModelClass::kEuclidean) << ", file says "
                    << model_name(*model));
-    GNCG_CHECK(have_payload && line.rfind("p ", 0) == 0,
-               "missing norm line");
-    const double p = parse_weight(value_token(line), line);
-    GNCG_CHECK(next_line(is, line) && line.rfind("dim ", 0) == 0,
-               "missing dim line");
-    const int dim = parse_token<int>(value_token(line), line);
+    const double p = parse_weight(key_value(line, have_payload, "p"), line);
+    const int dim =
+        parse_token<int>(key_value(line, next_line(is, line), "dim"), line);
     GNCG_CHECK(dim >= 1, "invalid point dimension " << dim);
     const int n = read_node_count(is, line);
     PointSet points(n, dim);
     std::vector<char> seen(static_cast<std::size_t>(n), 0);
     while (next_line(is, line)) {
-      std::istringstream tokens(line);
-      std::string tag, index_token;
-      tokens >> tag >> index_token;
-      GNCG_CHECK(tag == "point" && tokens, "malformed point line: " << line);
-      const int i = parse_token<int>(index_token, line);
+      const auto fields =
+          record_fields(line, "point", 2 + static_cast<std::size_t>(dim));
+      const int i = parse_token<int>(fields[1], line);
       GNCG_CHECK(i >= 0 && i < n, "point index out of range: " << line);
       GNCG_CHECK(!seen[static_cast<std::size_t>(i)],
                  "duplicate point in host file: " << line);
       seen[static_cast<std::size_t>(i)] = 1;
       for (int k = 0; k < dim; ++k) {
-        std::string coord;
-        tokens >> coord;
-        GNCG_CHECK(tokens, "point line has too few coordinates: " << line);
-        const double value = parse_weight(coord, line);
+        const double value =
+            parse_weight(fields[2 + static_cast<std::size_t>(k)], line);
         // Coordinates may be negative but must be finite: a NaN/inf here
         // would silently poison every weight, unlike the dense path where
         // HostGraph::validated rejects such entries.
@@ -207,15 +214,12 @@ HostGraph load_host_v2(std::istream& is, std::string& line,
     const int n = parse_node_count(line, have_payload);
     std::vector<Edge> edges;
     while (next_line(is, line)) {
-      std::istringstream tokens(line);
-      std::string tag, u_token, v_token, weight_token;
-      tokens >> tag >> u_token >> v_token >> weight_token;
-      GNCG_CHECK(tag == "tedge" && tokens, "malformed tree line: " << line);
-      const int u = parse_token<int>(u_token, line);
-      const int v = parse_token<int>(v_token, line);
+      const auto fields = record_fields(line, "tedge", 4);
+      const int u = parse_token<int>(fields[1], line);
+      const int v = parse_token<int>(fields[2], line);
       GNCG_CHECK(u >= 0 && u < n && v >= 0 && v < n && u != v,
                  "tree edge out of range: " << line);
-      edges.push_back({u, v, parse_weight(weight_token, line)});
+      edges.push_back({u, v, parse_weight(fields[3], line)});
     }
     return HostGraph::from_tree(WeightedTree(n, std::move(edges)));
   }
@@ -290,12 +294,8 @@ void save_host(std::ostream& os, const HostGraph& host,
 
 HostGraph load_host(std::istream& is, HostProvenance* provenance) {
   std::string line;
-  GNCG_CHECK(next_line(is, line) && line.rfind("gncg-host", 0) == 0,
-             "missing gncg-host header");
-  std::istringstream header(line);
-  std::string tag, version_token;
-  header >> tag >> version_token;
-  const int version = parse_token<int>(version_token, line);
+  const int version = parse_token<int>(
+      key_value(line, next_line(is, line), "gncg-host"), line);
   GNCG_CHECK(version == 1 || version == 2,
              "unsupported gncg-host version: " << line);
   if (version == 2) return load_host_v2(is, line, provenance);
@@ -314,17 +314,15 @@ void save_profile(std::ostream& os, const StrategyProfile& profile) {
 
 StrategyProfile load_profile(std::istream& is) {
   std::string line;
-  GNCG_CHECK(next_line(is, line) && line.rfind("gncg-profile", 0) == 0,
-             "missing gncg-profile header");
+  const int version = parse_token<int>(
+      key_value(line, next_line(is, line), "gncg-profile"), line);
+  GNCG_CHECK(version == 1, "unsupported gncg-profile version: " << line);
   const int n = read_node_count(is, line);
   StrategyProfile profile(n);
   while (next_line(is, line)) {
-    std::istringstream tokens(line);
-    std::string tag, owner_token, target_token;
-    tokens >> tag >> owner_token >> target_token;
-    GNCG_CHECK(tag == "buy" && tokens, "malformed buy line: " << line);
-    const int owner = parse_token<int>(owner_token, line);
-    const int target = parse_token<int>(target_token, line);
+    const auto fields = record_fields(line, "buy", 3);
+    const int owner = parse_token<int>(fields[1], line);
+    const int target = parse_token<int>(fields[2], line);
     GNCG_CHECK(owner >= 0 && owner < n && target >= 0 && target < n &&
                    owner != target,
                "buy line out of range: " << line);

@@ -57,8 +57,9 @@ void save_host(std::ostream& os, const HostGraph& host,
 
 /// Parses a host written by save_host (version 1 or 2), reconstructing the
 /// recorded backend kind.  Contract-fails on malformed input (bad header,
-/// missing pairs, asymmetric duplicates, unknown backend, a number token
-/// that is malformed, partial or out of range).  When `provenance` is
+/// missing pairs, asymmetric duplicates, unknown backend, a record with a
+/// missing or extra field, a number token that is malformed, partial or out
+/// of range).  CRLF line ends load like LF.  When `provenance` is
 /// non-null and the file carries an x- block, it is filled in (left
 /// untouched otherwise).
 HostGraph load_host(std::istream& is, HostProvenance* provenance = nullptr);

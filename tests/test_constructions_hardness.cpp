@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "constructions/hardness_gadgets.hpp"
 #include "core/best_response.hpp"
@@ -36,6 +38,16 @@ void expect_gadget_encodes_min_cover(const SetCoverGadget& gadget) {
   EXPECT_EQ(cover.size(), exact.chosen.size());
 }
 
+/// Random set systems over k = 3..5 elements and m = 3..4 sets.
+std::vector<SetCoverInstance> size_grid_cover_instances() {
+  Rng rng(20190416);
+  std::vector<SetCoverInstance> instances;
+  for (int trial = 0; trial < 6; ++trial)
+    instances.push_back(
+        random_set_cover(3 + trial % 3, 3 + (trial / 2) % 2, 0.45, rng));
+  return instances;
+}
+
 TEST(Theorem13Gadget, HandInstanceEncodesMinimumCover) {
   expect_gadget_encodes_min_cover(theorem13_gadget(hand_cover_instance()));
 }
@@ -46,6 +58,8 @@ TEST(Theorem13Gadget, RandomInstancesEncodeMinimumCovers) {
     const auto instance = random_set_cover(4, 3, 0.4, rng);
     expect_gadget_encodes_min_cover(theorem13_gadget(instance));
   }
+  for (const auto& instance : size_grid_cover_instances())
+    expect_gadget_encodes_min_cover(theorem13_gadget(instance));
 }
 
 TEST(Theorem13Gadget, HostIsATreeMetric) {
@@ -94,6 +108,9 @@ TEST(Theorem16Gadget, RandomInstancesAcrossNorms) {
     const double p = trial == 0 ? 1.0 : (trial == 1 ? 2.0 : 3.0);
     expect_gadget_encodes_min_cover(theorem16_gadget(instance, p));
   }
+  for (const auto& instance : size_grid_cover_instances())
+    for (double p : {1.0, 2.0})
+      expect_gadget_encodes_min_cover(theorem16_gadget(instance, p));
 }
 
 TEST(Theorem16Gadget, BlockerGeometryMatchesPaper) {
@@ -147,30 +164,48 @@ TEST(Theorem4Gadget, NonMinimumCoverLeavesImprovingMove) {
       has_improving_deviation(gadget.game, gadget.profile, gadget.agent));
 }
 
+/// Theorem 4 on one vertex-cover instance: with u playing a minimum cover
+/// it has no improving move, with one extra vertex it has one, and u's
+/// cost is 3N + 6m + k in both.
+void expect_theorem4_equivalence(const VertexCoverInstance& instance) {
+  const auto check = [&](const std::vector<int>& cover,
+                         bool expect_improving) {
+    const auto gadget = theorem4_gadget(instance, cover);
+    EXPECT_EQ(has_improving_deviation(gadget.game, gadget.profile,
+                                      gadget.agent),
+              expect_improving)
+        << "cover of " << cover.size();
+    EXPECT_NEAR(agent_cost(gadget.game, gadget.profile, gadget.agent),
+                theorem4_agent_cost_formula(
+                    instance, static_cast<int>(cover.size())),
+                1e-9)
+        << "cover of " << cover.size();
+  };
+  const auto minimum = exact_min_vertex_cover(instance);
+  check(minimum, /*expect_improving=*/false);
+  if (minimum.size() < static_cast<std::size_t>(instance.n)) {
+    std::vector<int> bigger = minimum;
+    for (int v = 0; v < instance.n; ++v) {
+      if (std::find(bigger.begin(), bigger.end(), v) == bigger.end()) {
+        bigger.push_back(v);
+        break;
+      }
+    }
+    check(bigger, /*expect_improving=*/true);
+  }
+}
+
 TEST(Theorem4Gadget, EquivalenceOnRandomSubcubicGraphs) {
   Rng rng(1021);
   for (int trial = 0; trial < 3; ++trial) {
-    const auto instance = random_subcubic_graph(4, rng);
-    const auto minimum = exact_min_vertex_cover(instance);
-    // u plays a minimum cover: no improving move.
-    const auto tight = theorem4_gadget(instance, minimum);
-    EXPECT_FALSE(
-        has_improving_deviation(tight.game, tight.profile, tight.agent))
-        << "trial " << trial;
-    // u plays a strictly larger cover: improving move exists.
-    if (minimum.size() < static_cast<std::size_t>(instance.n)) {
-      std::vector<int> bigger = minimum;
-      for (int v = 0; v < instance.n; ++v) {
-        if (std::find(bigger.begin(), bigger.end(), v) == bigger.end()) {
-          bigger.push_back(v);
-          break;
-        }
-      }
-      const auto loose = theorem4_gadget(instance, bigger);
-      EXPECT_TRUE(
-          has_improving_deviation(loose.game, loose.profile, loose.agent))
-          << "trial " << trial;
-    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_theorem4_equivalence(random_subcubic_graph(4, rng));
+  }
+  // Four- and five-vertex graphs from a second stream.
+  Rng mixed(42);
+  for (int trial = 0; trial < 5; ++trial) {
+    SCOPED_TRACE("mixed trial " + std::to_string(trial));
+    expect_theorem4_equivalence(random_subcubic_graph(4 + trial % 2, mixed));
   }
 }
 

@@ -8,8 +8,10 @@
 
 #include "constructions/ratio_constructions.hpp"
 #include "core/equilibrium.hpp"
+#include "core/equilibrium_search.hpp"
 #include "core/poa.hpp"
 #include "core/social_optimum.hpp"
+#include "core/spanner_bounds.hpp"
 #include "graph/graph_algos.hpp"
 #include "metric/host_graph.hpp"
 #include "support/rng.hpp"
@@ -30,16 +32,25 @@ class Theorem15Sweep
 TEST_P(Theorem15Sweep, StarIsNashAndRatioMatchesFormula) {
   const auto [n, alpha] = GetParam();
   const auto c = theorem15_construction(n, alpha);
-  EXPECT_TRUE(is_nash_equilibrium(c.game, c.equilibrium))
-      << "n=" << n << " alpha=" << alpha;
+  // The equilibrium claim is verified exactly while the per-agent search
+  // is small, as greedy stability (Theorem 3's 3-approximation) to n = 64,
+  // and through the closed form beyond.
+  if (n <= 8) {
+    EXPECT_TRUE(is_nash_equilibrium(c.game, c.equilibrium))
+        << "n=" << n << " alpha=" << alpha;
+  } else if (n <= 64) {
+    EXPECT_TRUE(is_greedy_equilibrium(c.game, c.equilibrium))
+        << "n=" << n << " alpha=" << alpha;
+  }
   EXPECT_NEAR(construction_ratio(c), c.expected_ratio, 1e-9);
   EXPECT_NEAR(c.expected_ratio, paper::theorem15_ratio(n, alpha), 0.0);
+  EXPECT_LT(c.expected_ratio, paper::metric_poa(alpha));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SmallSizes, Theorem15Sweep,
-    ::testing::Combine(::testing::Values(4, 6, 8),
-                       ::testing::Values(0.5, 1.0, 2.0, 4.0)));
+    ::testing::Combine(::testing::Values(4, 6, 8, 16, 32, 64, 128, 256),
+                       ::testing::Values(0.5, 1.0, 2.0, 4.0, 8.0, 32.0)));
 
 TEST(Theorem15, TreeIsOptimumAndRatioTendsToMetricPoa) {
   const double alpha = 2.0;
@@ -98,25 +109,32 @@ TEST(Theorem8, HostIsOneTwoMetric) {
 // ---------------------------------------------------------------- Lemma 8 / Thm 18
 
 TEST(Lemma8, StarIsNashOnGeometricPath) {
-  for (double alpha : {0.5, 1.0, 2.0}) {
-    const auto c = lemma8_construction(6, alpha);
-    EXPECT_TRUE(is_nash_equilibrium(c.game, c.equilibrium))
-        << "alpha=" << alpha;
-  }
+  for (int nodes : {3, 4, 6, 8})
+    for (double alpha : {0.5, 1.0, 2.0, 4.0}) {
+      const auto c = lemma8_construction(nodes, alpha);
+      EXPECT_TRUE(is_nash_equilibrium(c.game, c.equilibrium))
+          << "nodes=" << nodes << " alpha=" << alpha;
+    }
 }
 
 TEST(Lemma8, RatioExceedsOne) {
-  for (int nodes : {4, 6, 8}) {
-    const auto c = lemma8_construction(nodes, 1.5);
-    EXPECT_GT(construction_ratio(c), 1.0) << "nodes=" << nodes;
-  }
+  for (int nodes : {3, 4, 6, 8, 12, 16})
+    for (double alpha : {0.5, 1.0, 1.5, 2.0, 4.0}) {
+      const auto c = lemma8_construction(nodes, alpha);
+      EXPECT_GT(construction_ratio(c), 1.0)
+          << "nodes=" << nodes << " alpha=" << alpha;
+    }
 }
 
 TEST(Lemma8, PathIsOptimalForSmallInstances) {
-  const auto c = lemma8_construction(5, 1.0);
-  const auto exact = exact_social_optimum(c.game);
-  EXPECT_NEAR(network_social_cost(c.game, c.optimum), exact.cost.total(),
-              1e-6);
+  for (int nodes : {3, 4, 5, 6})
+    for (double alpha : {0.5, 1.0, 2.0, 4.0}) {
+      const auto c = lemma8_construction(nodes, alpha);
+      const auto exact = exact_social_optimum(c.game);
+      EXPECT_NEAR(network_social_cost(c.game, c.optimum), exact.cost.total(),
+                  1e-6)
+          << "nodes=" << nodes << " alpha=" << alpha;
+    }
 }
 
 TEST(Lemma8, StarWeightsFollowGeometricLaw) {
@@ -128,7 +146,8 @@ TEST(Lemma8, StarWeightsFollowGeometricLaw) {
 }
 
 TEST(Theorem18, FourNodeRatioMatchesClosedForm) {
-  for (double alpha : {0.5, 1.0, 2.0, 5.0, 20.0}) {
+  for (double alpha : {0.25, 0.5, 1.0, 2.0, 4.0, 5.0, 8.0, 16.0, 20.0, 64.0,
+                       256.0, 4096.0}) {
     const auto c = theorem18_construction(alpha);
     EXPECT_TRUE(is_nash_equilibrium(c.game, c.equilibrium));
     EXPECT_NEAR(construction_ratio(c), paper::theorem18_lower(alpha), 1e-9)
@@ -185,12 +204,22 @@ TEST(Theorem19, OriginStarIsOptimalForSmallDims) {
 // ---------------------------------------------------------------- Thm 20 remark
 
 TEST(Theorem20Remark, EquilibriumRatioAndSigma) {
+  // The realized cost ratio -- and the exact PoA over every NE -- is only
+  // (alpha+2)/2, while the proof's per-pair sigma reaches the square.
   for (double alpha : {0.5, 1.0, 2.0, 4.0}) {
     const auto c = theorem20_remark_construction(alpha);
     EXPECT_FALSE(c.game.host().is_metric());
     EXPECT_TRUE(is_nash_equilibrium(c.game, c.equilibrium))
         << "alpha=" << alpha;
     EXPECT_NEAR(construction_ratio(c), paper::metric_poa(alpha), 1e-9);
+    const auto equilibria = enumerate_nash_equilibria(c.game);
+    const auto opt = exact_social_optimum(c.game);
+    EXPECT_NEAR(estimate_poa(equilibria, opt.cost.total(), true).poa,
+                paper::metric_poa(alpha), 1e-9)
+        << "alpha=" << alpha;
+    EXPECT_NEAR(max_pair_sigma(c.game, c.equilibrium, c.optimum),
+                paper::general_poa_upper(alpha), 1e-9)
+        << "alpha=" << alpha;
   }
 }
 
@@ -211,6 +240,12 @@ TEST(Theorem10, StarsAreNashOnOneTwoHostsForAlphaAtLeastThree) {
     const auto star = star_profile(game, static_cast<int>(rng.uniform_below(6)));
     EXPECT_TRUE(is_nash_equilibrium(game, star))
         << "alpha=" << alpha << " trial=" << trial;
+  }
+  // The boundary alpha = 3 and a larger alpha, at n = 7.
+  for (double alpha : {3.0, 5.0, 10.0}) {
+    const Game game(random_one_two_host(7, 0.5, rng), alpha);
+    EXPECT_TRUE(is_nash_equilibrium(game, star_profile(game, 0)))
+        << "alpha=" << alpha << " n=7";
   }
 }
 

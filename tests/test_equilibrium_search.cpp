@@ -48,9 +48,10 @@ TEST(Enumeration, RespectsStateCap) {
 TEST(Enumeration, Theorem9PoaIsOneForTinyAlpha) {
   // alpha < 1/2 in the 1-2-GNCG: every NE equals the Algorithm 1 optimum.
   Rng rng(709);
-  for (int trial = 0; trial < 4; ++trial) {
+  for (int trial = 0; trial < 7; ++trial) {
     const double alpha = rng.uniform_real(0.05, 0.49);
-    const Game game(random_one_two_host(4, 0.5, rng), alpha);
+    const int n = trial < 4 ? 4 : 5;
+    const Game game(random_one_two_host(n, 0.5, rng), alpha);
     const auto set = enumerate_nash_equilibria(game);
     const auto opt = algorithm1_one_two(game);
     ASSERT_FALSE(set.empty()) << "Theorem 9 also promises NE existence";
@@ -86,6 +87,26 @@ TEST(Sampling, SampledProfilesAreNash) {
   for (const auto& profile : set.profiles)
     EXPECT_TRUE(is_nash_equilibrium(game, profile));
   EXPECT_FALSE(set.exhaustive);
+}
+
+TEST(Sampling, Theorem9SampledEquilibriaCostTheOptimum) {
+  // Theorem 9 beyond exhaustive sizes: every NE that best-response
+  // dynamics reach on a larger 1-2 host at alpha < 1/2 costs exactly the
+  // Algorithm 1 optimum.
+  Rng rng(739);
+  for (int n : {8, 10}) {
+    const double alpha = rng.uniform_real(0.1, 0.45);
+    const Game game(random_one_two_host(n, 0.5, rng), alpha);
+    SamplingOptions options;
+    options.attempts = 10;
+    options.seed = rng();
+    options.verify_exact_ne = n <= 8;
+    const auto set = sample_equilibria(game, options);
+    ASSERT_FALSE(set.empty()) << "n=" << n;
+    const double optimum = algorithm1_one_two(game).cost.total();
+    for (double cost : set.social_costs)
+      EXPECT_NEAR(cost, optimum, 1e-6) << "n=" << n << " alpha=" << alpha;
+  }
 }
 
 TEST(Sampling, DeduplicatesConvergedProfiles) {

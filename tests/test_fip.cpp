@@ -27,10 +27,15 @@ TEST(Fip, Theorem14TreeMetricsAdmitImprovingCycles) {
 }
 
 TEST(Fip, ImprovingCyclesAcrossAlphaOnTreeMetrics) {
-  for (double alpha : {0.5, 2.0, 3.0}) {
+  for (double alpha : {0.5, 1.0, 2.0, 3.0}) {
     const auto result =
         find_tree_fip_violation(4, 50, 12345, alpha);
-    EXPECT_TRUE(result.found) << "no cycle found at alpha=" << alpha;
+    ASSERT_TRUE(result.found) << "no cycle found at alpha=" << alpha;
+    const Game game(HostGraph::from_tree(*result.tree), alpha);
+    EXPECT_TRUE(verify_improvement_cycle(game, result.analysis.cycle_start,
+                                         result.analysis.cycle,
+                                         /*require_best_response=*/false))
+        << "cycle does not replay at alpha=" << alpha;
   }
 }
 
@@ -45,6 +50,9 @@ TEST(Fip, Theorem17PaperPointsAdmitBestResponseCycle) {
   EXPECT_DOUBLE_EQ(result.alpha, 1.0);
   const Game game(HostGraph::from_points(theorem17_points(), 1.0),
                   result.alpha);
+  EXPECT_TRUE(verify_improvement_cycle(game, result.analysis.cycle_start,
+                                       result.analysis.cycle,
+                                       /*require_best_response=*/false));
   EXPECT_TRUE(verify_improvement_cycle(game, result.analysis.cycle_start,
                                        result.analysis.cycle,
                                        /*require_best_response=*/true));

@@ -2,9 +2,13 @@
 // instance/profile round trip.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "metric/instance_io.hpp"
+#include "metric/points.hpp"
+#include "metric/tree.hpp"
 #include "support/dot.hpp"
 #include "support/rng.hpp"
 
@@ -114,6 +118,34 @@ TEST(InstanceIo, LiteralVersionTwoEuclideanText) {
   EXPECT_DOUBLE_EQ(host.host_distance(0, 1), 5.0);
 }
 
+TEST(InstanceIo, CrlfFilesLoadLikeLf) {
+  // Every record passes through one line reader, so a CRLF copy of each
+  // version-2 payload kind loads exactly like its LF original.
+  Rng rng(5);
+  for (const HostGraph& host :
+       {random_metric_host(4, rng),
+        HostGraph::from_points(uniform_points(4, 2, 10.0, rng), 2.0),
+        HostGraph::from_tree(random_tree(4, rng))}) {
+    std::ostringstream lf;
+    save_host(lf, host);
+    std::string crlf;
+    for (const char c : lf.str()) crlf += c == '\n' ? std::string("\r\n")
+                                                    : std::string(1, c);
+    SCOPED_TRACE(crlf);
+    std::istringstream lf_in(lf.str()), crlf_in(crlf);
+    const auto expected = load_host(lf_in);
+    std::optional<HostGraph> loaded;
+    EXPECT_NO_THROW(loaded.emplace(load_host(crlf_in)));
+    if (!loaded.has_value()) continue;
+    EXPECT_EQ(loaded->backend_kind(), expected.backend_kind());
+    EXPECT_EQ(loaded->declared_model(), expected.declared_model());
+    ASSERT_EQ(loaded->node_count(), expected.node_count());
+    for (int u = 0; u < 4; ++u)
+      for (int v = 0; v < 4; ++v)
+        EXPECT_EQ(loaded->weight(u, v), expected.weight(u, v));
+  }
+}
+
 TEST(InstanceIo, RejectsUnknownBackendAndModel) {
   {
     std::stringstream buffer("gncg-host 2\nbackend warp\nmodel GNCG\nn 1\n");
@@ -180,6 +212,21 @@ TEST(InstanceIo, RejectsMalformedInput) {
            "n 2\ntedge 0 1 1..5\n",                     // malformed tree weight
            "gncg-host 2\nbackend dense\nmodel GNCG\n"
            "x-point 12q\nn 2\nw 0 1 1\n",               // partial provenance
+           // A record carries exactly its fields: a trailing token is
+           // rejected, never dropped.
+           "gncg-host 1 junk\nn 2\nw 0 1 1\n",          // header
+           "gncg-host 1\nn 2 junk\nw 0 1 1\n",          // node count
+           "gncg-host 1\nn 2\nw 0 1 1 junk\n",          // weight line
+           "gncg-host 2\nbackend tree\nmodel T-GNCG\n"
+           "n 2\ntedge 0 1 1 junk\n",                    // tree edge
+           "gncg-host 2\nbackend euclidean\nmodel Rd-GNCG\np 2 junk\n"
+           "dim 1\nn 2\npoint 0 0\npoint 1 1\n",       // norm
+           "gncg-host 2\nbackend euclidean\nmodel Rd-GNCG\np 2\n"
+           "dim 1 junk\nn 2\npoint 0 0\npoint 1 1\n",  // dimension
+           "gncg-host 2\nbackend euclidean\nmodel Rd-GNCG\np 2\n"
+           "dim 1\nn 2\npoint 0 0\npoint 1 1 junk\n",  // point
+           "gncg-host 2\nbackend dense\nmodel GNCG\n"
+           "x-point 12 junk\nn 2\nw 0 1 1\n",           // provenance
        }) {
     SCOPED_TRACE(host);
     std::stringstream buffer(host);
@@ -189,6 +236,8 @@ TEST(InstanceIo, RejectsMalformedInput) {
   for (const char* profile : {
            "gncg-profile 1\nn abc\n",                   // malformed count
            "gncg-profile 1\nn 2\nbuy 0 1x\n",           // partial target
+           "gncg-profile 1 junk\nn 2\nbuy 0 1\n",       // header token
+           "gncg-profile 1\nn 2\nbuy 0 1 junk\n",       // buy token
        }) {
     SCOPED_TRACE(profile);
     std::stringstream buffer(profile);

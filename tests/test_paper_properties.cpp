@@ -1,11 +1,14 @@
 // Cross-cutting property tests of the paper's structural theorems on
 // randomized instances: Theorem 12 (T-GNCG equilibria are trees), Theorems
 // 2/3 and Corollary 2 (approximation chains), Theorem 5 (minimum-weight
-// 3/2-spanners admit NE ownership) and Lemma 3 (1-edges at alpha < 1).
+// 3/2-spanners admit NE ownership), Lemma 3 (1-edges at alpha < 1) and the
+// PoA upper bounds of Theorems 1 and 20.  Table 1 and the open questions
+// are in test_paper_claims.cpp.
 #include <gtest/gtest.h>
 
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
+#include "core/equilibrium_search.hpp"
 #include "core/ownership.hpp"
 #include "core/poa.hpp"
 #include "core/social_optimum.hpp"
@@ -45,6 +48,22 @@ TEST(Theorem12, TreeMetricEquilibriaAreTrees) {
         << "Theorem 12 violated on trial " << trial;
   }
   EXPECT_GE(verified, 3) << "too few NE reached to be meaningful";
+  // Sampled equilibria on larger trees (exactly certified up to n = 8,
+  // best-response converged beyond).
+  for (int n : {5, 6, 8, 10})
+    for (int trial = 0; trial < 2; ++trial) {
+      const auto tree = random_tree(n, rng, 1.0, 8.0);
+      const Game game(HostGraph::from_tree(tree), rng.uniform_real(0.4, 3.0));
+      SamplingOptions options;
+      options.attempts = 8;
+      options.seed = rng();
+      options.verify_exact_ne = n <= 8;
+      const auto equilibria = sample_equilibria(game, options);
+      EXPECT_FALSE(equilibria.empty()) << "n=" << n << " trial " << trial;
+      for (const auto& profile : equilibria.profiles)
+        EXPECT_TRUE(is_tree(built_graph(game, profile)))
+            << "Theorem 12 violated at n=" << n << " trial " << trial;
+    }
 }
 
 TEST(Corollary3, DefiningTreeIsNashUnderSomeOwnership) {
@@ -52,8 +71,8 @@ TEST(Corollary3, DefiningTreeIsNashUnderSomeOwnership) {
   // canonical parent-buys-child ownership (here: smaller id buys) may not
   // be stable, so search the 2^(n-1) ownership assignments.
   Rng rng(1103);
-  for (int trial = 0; trial < 4; ++trial) {
-    const auto tree = random_tree(5, rng, 1.0, 6.0);
+  for (int trial = 0; trial < 6; ++trial) {
+    const auto tree = random_tree(trial < 4 ? 5 : 6, rng, 1.0, 6.0);
     const Game game(HostGraph::from_tree(tree), rng.uniform_real(0.5, 2.5));
     const auto owned = find_nash_ownership(game, tree.edges());
     EXPECT_TRUE(owned.has_value()) << "trial " << trial;
@@ -160,6 +179,19 @@ TEST(Theorem1, MetricEquilibriaRespectPoaBound) {
 }
 
 TEST(Theorem20, GeneralEquilibriaRespectSquaredBound) {
+  // Exact PoA over every NE of small general hosts.
+  Rng exact(20);
+  for (int trial = 0; trial < 6; ++trial) {
+    const double alpha = exact.uniform_real(0.3, 3.0);
+    const Game game(random_general_host(4, exact), alpha);
+    const auto equilibria = enumerate_nash_equilibria(game);
+    if (equilibria.empty()) continue;
+    const auto opt = exact_social_optimum(game);
+    EXPECT_LE(estimate_poa(equilibria, opt.cost.total(), true).poa,
+              paper::general_poa_upper(alpha) + 1e-9)
+        << "Theorem 20 violated, alpha=" << alpha;
+  }
+  // Sampled NE of larger ones.
   Rng rng(1163);
   for (int trial = 0; trial < 5; ++trial) {
     const double alpha = rng.uniform_real(0.3, 3.0);

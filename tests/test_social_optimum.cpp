@@ -73,9 +73,10 @@ TEST(Algorithm1, RemovesExactlyTriangleTwoEdges) {
 TEST(Algorithm1, MatchesExactOptimumForAlphaBelowOne) {
   // Theorem 6: Algorithm 1 is optimal for alpha <= 1 on 1-2 hosts.
   Rng rng(421);
-  for (int trial = 0; trial < 8; ++trial) {
+  for (int trial = 0; trial < 11; ++trial) {
     const double alpha = rng.uniform_real(0.05, 1.0);
-    const Game game(random_one_two_host(5, rng.uniform01(), rng), alpha);
+    const int n = trial < 8 ? 5 : 6;
+    const Game game(random_one_two_host(n, rng.uniform01(), rng), alpha);
     const auto alg1 = algorithm1_one_two(game);
     const auto exact = exact_social_optimum(game);
     EXPECT_NEAR(alg1.cost.total(), exact.cost.total(), 1e-9)

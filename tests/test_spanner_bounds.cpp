@@ -46,19 +46,25 @@ TEST_P(SpannerBoundsSweep, Lemma1AddOnlyEquilibriaAreAlphaPlusOneSpanners) {
 TEST_P(SpannerBoundsSweep, Lemma2OptimaAreHalfAlphaPlusOneSpanners) {
   const double alpha = GetParam();
   Rng rng(853 + static_cast<std::uint64_t>(alpha * 100));
-  for (int trial = 0; trial < 3; ++trial) {
-    const Game game(random_metric_host(5, rng), alpha);
+  // Three metric hosts, then three 1-2 hosts (also metric).
+  for (int trial = 0; trial < 6; ++trial) {
+    const Game game(trial < 3 ? random_metric_host(5, rng)
+                              : random_one_two_host(5, 0.5, rng),
+                    alpha);
     const auto opt = exact_social_optimum(game);
     EXPECT_LE(network_stretch(game, opt.edges), alpha / 2.0 + 1.0 + 1e-6)
-        << "Lemma 2 violated at alpha=" << alpha;
+        << "Lemma 2 violated at alpha=" << alpha << " trial " << trial;
   }
 }
 
 TEST_P(SpannerBoundsSweep, Theorem1SigmaBoundOnMetricEquilibria) {
   const double alpha = GetParam();
   Rng rng(877 + static_cast<std::uint64_t>(alpha * 100));
-  for (int trial = 0; trial < 3; ++trial) {
-    const Game game(random_metric_host(5, rng), alpha);
+  // Three metric hosts, then three 1-2 hosts (also metric).
+  for (int trial = 0; trial < 6; ++trial) {
+    const Game game(trial < 3 ? random_metric_host(5, rng)
+                              : random_one_two_host(5, 0.5, rng),
+                    alpha);
     DynamicsOptions options;
     options.max_moves = 4000;
     const auto run = run_dynamics(game, random_profile(game, rng), options);
@@ -76,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(AlphaGrid, SpannerBoundsSweep,
 
 TEST(SpannerBounds, Lemma1AlsoHoldsOnOneTwoHosts) {
   Rng rng(881);
-  for (double alpha : {0.5, 1.0, 3.0}) {
+  for (double alpha : {0.5, 1.0, 3.0, 2.0, 4.0}) {
     const Game game(random_one_two_host(7, 0.5, rng), alpha);
     const auto ae = reach_add_only_equilibrium(game, rng);
     EXPECT_LE(profile_stretch(game, ae), alpha + 1.0 + 1e-6);
