@@ -8,26 +8,6 @@
 
 namespace gncg {
 
-namespace {
-
-std::unique_ptr<MoveRulePolicy> resolve_rule(const DynamicsOptions& options,
-                                             const PolicyConfig& config) {
-  if (!options.rule_name.empty())
-    return DynamicsPolicyRegistry::instance().make_rule(options.rule_name,
-                                                        config);
-  return make_move_rule(options.rule, config);
-}
-
-std::unique_ptr<SchedulerPolicy> resolve_scheduler(
-    const DynamicsOptions& options, const PolicyConfig& config) {
-  if (!options.scheduler_name.empty())
-    return DynamicsPolicyRegistry::instance().make_scheduler(
-        options.scheduler_name, config);
-  return make_scheduler(options.scheduler, config);
-}
-
-}  // namespace
-
 DynamicsResult run_dynamics(const Game& game, StrategyProfile start,
                             const DynamicsOptions& options) {
   GNCG_CHECK(start.node_count() == game.node_count(),
@@ -40,15 +20,8 @@ DynamicsResult run_dynamics(DeviationEngine& engine,
                             const DynamicsOptions& options) {
   const int n = engine.game().node_count();
   Rng rng(options.seed);
-  PolicyConfig config;
-  config.node_count = n;
-  config.fairness_bound = options.fairness_bound;
-  config.softmax_tau = options.softmax_tau;
-  config.approx_budget = options.approx_budget;
-  config.approx_repair_cap = options.approx_repair_cap;
-  config.mgm_shards = options.mgm_shards;
-  const auto rule = resolve_rule(options, config);
-  const auto scheduler = resolve_scheduler(options, config);
+  const auto rule = make_move_rule(options.rule, options);
+  const auto scheduler = make_scheduler(options.scheduler, n, options);
 
   DynamicsResult result;
   TranspositionTable visited;
@@ -76,7 +49,7 @@ DynamicsResult run_dynamics(DeviationEngine& engine,
       break;
     }
     GNCG_CHECK(round.size() <= budget_left,
-               "scheduler '" << scheduler->name()
+               "scheduler '" << scheduler_name(options.scheduler)
                              << "' returned more activations than the move "
                                 "budget allows");
     ++round_index;

@@ -91,25 +91,27 @@ struct DynamicsOptions {
   MoveRule rule = MoveRule::kBestResponse;
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
 
-  /// When non-empty, resolved through DynamicsPolicyRegistry and overriding
-  /// the enum -- the hook for registered non-builtin policies.
-  std::string rule_name;
-  std::string scheduler_name;
-
   std::uint64_t max_moves = 10000;
   bool detect_cycles = true;
   std::uint64_t seed = 1;
 
-  /// Policy knobs (see PolicyConfig).
+  /// Fairness-bounded scheduler: the longest an agent with an improving
+  /// move may be passed over, in scheduler steps.  0 = 2 * node count.
   std::uint64_t fairness_bound = 0;
+  /// Softmax-gain scheduler: selection temperature relative to the largest
+  /// current gain (higher = closer to uniform over improving agents).
   double softmax_tau = 0.25;
+  /// Approx-ladder move rule: candidate-shortlist size handed to the
+  /// spatial oracle.  <= 0 picks the ladder's default.
   int approx_budget = 0;
   /// Approx-ladder bounded-frontier repair cap (ApproxBrOptions::repair_cap);
   /// 0 = exact repairs.  Applied moves stay strict better-responses either
   /// way (the ladder re-costs truncated winners exactly).
   std::size_t approx_repair_cap = 0;
-  /// Parallel-MGM scheduler: agent shards per round (PolicyConfig); <= 0
-  /// picks the default, 1 degenerates to the sequential max_gain step.
+  /// Parallel-MGM scheduler: number of agent shards per round (each shard
+  /// nominates its max-gain improving agent; non-conflicting nominees
+  /// commit together).  <= 0 picks the default max(1, node count / 16);
+  /// 1 degenerates to the sequential max_gain step.
   int mgm_shards = 0;
 
   /// Record the full move trajectory into DynamicsResult::steps.  Disable

@@ -7,6 +7,7 @@
 
 #include "core/approx_br.hpp"
 #include "core/best_response.hpp"
+#include "core/dynamics.hpp"
 #include "core/facility_location.hpp"
 #include "support/instrument.hpp"
 #include "support/parallel.hpp"
@@ -19,7 +20,6 @@ namespace {
 
 class BestResponseRule final : public MoveRulePolicy {
  public:
-  std::string_view name() const override { return "best_response"; }
   bool wants_full_warm() const override { return false; }
 
   Proposal propose_warm(const DeviationEngine& engine, int u) const override {
@@ -44,9 +44,6 @@ class SingleMoveRule final : public MoveRulePolicy {
   explicit SingleMoveRule(bool additions_only)
       : additions_only_(additions_only) {}
 
-  std::string_view name() const override {
-    return additions_only_ ? "best_addition" : "best_single_move";
-  }
   bool wants_full_warm() const override { return true; }
 
   Proposal propose_warm(const DeviationEngine& engine, int u) const override {
@@ -71,7 +68,6 @@ class SingleMoveRule final : public MoveRulePolicy {
 
 class UmflRule final : public MoveRulePolicy {
  public:
-  std::string_view name() const override { return "umfl_response"; }
   bool wants_full_warm() const override { return false; }
 
   Proposal propose_warm(const DeviationEngine& engine, int u) const override {
@@ -102,7 +98,6 @@ class ApproxLadderRule final : public MoveRulePolicy {
   ApproxLadderRule(int budget, std::size_t repair_cap)
       : budget_(budget), repair_cap_(repair_cap) {}
 
-  std::string_view name() const override { return "approx_ladder"; }
   bool wants_full_warm() const override { return false; }
 
   Proposal propose_warm(const DeviationEngine& engine, int u) const override {
@@ -145,10 +140,6 @@ class OrderScheduler final : public SchedulerPolicy {
     order_.resize(static_cast<std::size_t>(n));
     std::iota(order_.begin(), order_.end(), 0);
     cursor_ = order_.size();  // first next() opens round 1
-  }
-
-  std::string_view name() const override {
-    return reshuffle_ ? "random_order" : "round_robin";
   }
 
   std::optional<Activation> next(DeviationEngine& engine,
@@ -207,8 +198,6 @@ class MaxGainScheduler final : public SchedulerPolicy {
  public:
   explicit MaxGainScheduler(int n) : n_(n) {}
 
-  std::string_view name() const override { return "max_gain"; }
-
   std::optional<Activation> next(DeviationEngine& engine,
                                  const MoveRulePolicy& rule, Rng&) override {
     // All agents are proposed against the same warm engine state, fanned
@@ -265,8 +254,6 @@ class FairnessBoundedScheduler final : public SchedulerPolicy {
         bound_(bound == 0 ? 2 * static_cast<std::uint64_t>(n) : bound),
         waiting_(static_cast<std::size_t>(n), 0) {}
 
-  std::string_view name() const override { return "fairness_bounded"; }
-
   std::optional<Activation> next(DeviationEngine& engine,
                                  const MoveRulePolicy& rule, Rng&) override {
     std::vector<Proposal> proposals = propose_all(engine, rule, n_);
@@ -320,8 +307,6 @@ class FairnessBoundedScheduler final : public SchedulerPolicy {
 class SoftmaxGainScheduler final : public SchedulerPolicy {
  public:
   SoftmaxGainScheduler(int n, double tau) : n_(n), tau_(tau) {}
-
-  std::string_view name() const override { return "softmax_gain"; }
 
   std::optional<Activation> next(DeviationEngine& engine,
                                  const MoveRulePolicy& rule,
@@ -408,7 +393,13 @@ class ParallelMgmScheduler final : public SchedulerPolicy {
         shards_(shards > 0 ? std::min(shards, std::max(n, 1))
                            : std::max(1, n / 16)) {}
 
-  std::string_view name() const override { return "parallel_mgm"; }
+  std::optional<Activation> next(DeviationEngine&, const MoveRulePolicy&,
+                                 Rng&) override {
+    GNCG_CHECK(false, "scheduler '"
+                          << scheduler_name(SchedulerKind::kParallelMgm)
+                          << "' is round-based; drive it through next_round "
+                             "(the dynamics kernel does)");
+  }
 
   std::vector<Activation> next_round(DeviationEngine& engine,
                                      const MoveRulePolicy& rule, Rng&,
@@ -492,56 +483,7 @@ class ParallelMgmScheduler final : public SchedulerPolicy {
   std::uint64_t rounds_ = 0;
 };
 
-void register_builtin_policies(DynamicsPolicyRegistry& registry) {
-  registry.add_rule("best_response", [](const PolicyConfig&) {
-    return std::make_unique<BestResponseRule>();
-  });
-  registry.add_rule("best_single_move", [](const PolicyConfig&) {
-    return std::make_unique<SingleMoveRule>(/*additions_only=*/false);
-  });
-  registry.add_rule("best_addition", [](const PolicyConfig&) {
-    return std::make_unique<SingleMoveRule>(/*additions_only=*/true);
-  });
-  registry.add_rule("umfl_response", [](const PolicyConfig&) {
-    return std::make_unique<UmflRule>();
-  });
-  registry.add_rule("approx_ladder", [](const PolicyConfig& config) {
-    return std::make_unique<ApproxLadderRule>(config.approx_budget,
-                                              config.approx_repair_cap);
-  });
-  registry.add_scheduler("round_robin", [](const PolicyConfig& config) {
-    return std::make_unique<OrderScheduler>(config.node_count,
-                                            /*reshuffle=*/false);
-  });
-  registry.add_scheduler("random_order", [](const PolicyConfig& config) {
-    return std::make_unique<OrderScheduler>(config.node_count,
-                                            /*reshuffle=*/true);
-  });
-  registry.add_scheduler("max_gain", [](const PolicyConfig& config) {
-    return std::make_unique<MaxGainScheduler>(config.node_count);
-  });
-  registry.add_scheduler("fairness_bounded", [](const PolicyConfig& config) {
-    return std::make_unique<FairnessBoundedScheduler>(config.node_count,
-                                                      config.fairness_bound);
-  });
-  registry.add_scheduler("softmax_gain", [](const PolicyConfig& config) {
-    return std::make_unique<SoftmaxGainScheduler>(config.node_count,
-                                                  config.softmax_tau);
-  });
-  registry.add_scheduler("parallel_mgm", [](const PolicyConfig& config) {
-    return std::make_unique<ParallelMgmScheduler>(config.node_count,
-                                                  config.mgm_shards);
-  });
-}
-
 }  // namespace
-
-std::optional<Activation> SchedulerPolicy::next(DeviationEngine&,
-                                                const MoveRulePolicy&, Rng&) {
-  GNCG_CHECK(false, "scheduler '" << name()
-                                  << "' is round-based; drive it through "
-                                     "next_round (the dynamics kernel does)");
-}
 
 std::vector<Activation> SchedulerPolicy::next_round(DeviationEngine& engine,
                                                     const MoveRulePolicy& rule,
@@ -562,80 +504,6 @@ Proposal propose(DeviationEngine& engine, const MoveRulePolicy& rule, int u) {
     engine.distance_cost(u);
   }
   return rule.propose_warm(engine, u);
-}
-
-DynamicsPolicyRegistry& DynamicsPolicyRegistry::instance() {
-  static DynamicsPolicyRegistry* registry = [] {
-    auto* r = new DynamicsPolicyRegistry;
-    register_builtin_policies(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void DynamicsPolicyRegistry::add_scheduler(std::string name,
-                                           SchedulerFactory factory) {
-  for (const auto& [existing, unused] : schedulers_)
-    GNCG_CHECK(existing != name, "duplicate scheduler policy " << name);
-  schedulers_.emplace_back(std::move(name), std::move(factory));
-}
-
-void DynamicsPolicyRegistry::add_rule(std::string name,
-                                      MoveRuleFactory factory) {
-  for (const auto& [existing, unused] : rules_)
-    GNCG_CHECK(existing != name, "duplicate move-rule policy " << name);
-  rules_.emplace_back(std::move(name), std::move(factory));
-}
-
-namespace {
-
-template <class Factories, class Made>
-Made make_from(const Factories& factories, std::string_view name,
-               const PolicyConfig& config, const char* what) {
-  for (const auto& [existing, factory] : factories)
-    if (existing == name) return factory(config);
-  std::string known;
-  for (const auto& [existing, unused] : factories)
-    known += (known.empty() ? "" : ", ") + existing;
-  GNCG_CHECK(false,
-             "unknown " << what << " policy '" << name << "'; known: " << known);
-}
-
-}  // namespace
-
-std::unique_ptr<SchedulerPolicy> DynamicsPolicyRegistry::make_scheduler(
-    std::string_view name, const PolicyConfig& config) const {
-  return make_from<decltype(schedulers_), std::unique_ptr<SchedulerPolicy>>(
-      schedulers_, name, config, "scheduler");
-}
-
-std::unique_ptr<MoveRulePolicy> DynamicsPolicyRegistry::make_rule(
-    std::string_view name, const PolicyConfig& config) const {
-  return make_from<decltype(rules_), std::unique_ptr<MoveRulePolicy>>(
-      rules_, name, config, "move-rule");
-}
-
-namespace {
-
-std::vector<std::string> sorted_names(
-    const std::vector<std::string>& names_in) {
-  std::vector<std::string> names = names_in;
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-}  // namespace
-
-std::vector<std::string> DynamicsPolicyRegistry::scheduler_names() const {
-  std::vector<std::string> names;
-  for (const auto& [name, unused] : schedulers_) names.push_back(name);
-  return sorted_names(names);
-}
-
-std::vector<std::string> DynamicsPolicyRegistry::rule_names() const {
-  std::vector<std::string> names;
-  for (const auto& [name, unused] : rules_) names.push_back(name);
-  return sorted_names(names);
 }
 
 std::string_view scheduler_name(SchedulerKind kind) {
@@ -661,16 +529,44 @@ std::string_view move_rule_name(MoveRule rule) {
   GNCG_CHECK(false, "unknown MoveRule");
 }
 
-std::unique_ptr<SchedulerPolicy> make_scheduler(SchedulerKind kind,
-                                                const PolicyConfig& config) {
-  return DynamicsPolicyRegistry::instance().make_scheduler(
-      scheduler_name(kind), config);
+std::unique_ptr<SchedulerPolicy> make_scheduler(
+    SchedulerKind kind, int node_count, const DynamicsOptions& options) {
+  switch (kind) {
+    case SchedulerKind::kRoundRobin:
+      return std::make_unique<OrderScheduler>(node_count, /*reshuffle=*/false);
+    case SchedulerKind::kRandomOrder:
+      return std::make_unique<OrderScheduler>(node_count, /*reshuffle=*/true);
+    case SchedulerKind::kMaxGain:
+      return std::make_unique<MaxGainScheduler>(node_count);
+    case SchedulerKind::kFairnessBounded:
+      return std::make_unique<FairnessBoundedScheduler>(
+          node_count, options.fairness_bound);
+    case SchedulerKind::kSoftmaxGain:
+      return std::make_unique<SoftmaxGainScheduler>(node_count,
+                                                    options.softmax_tau);
+    case SchedulerKind::kParallelMgm:
+      return std::make_unique<ParallelMgmScheduler>(node_count,
+                                                    options.mgm_shards);
+  }
+  GNCG_CHECK(false, "unknown SchedulerKind");
 }
 
 std::unique_ptr<MoveRulePolicy> make_move_rule(MoveRule rule,
-                                               const PolicyConfig& config) {
-  return DynamicsPolicyRegistry::instance().make_rule(move_rule_name(rule),
-                                                      config);
+                                               const DynamicsOptions& options) {
+  switch (rule) {
+    case MoveRule::kBestResponse:
+      return std::make_unique<BestResponseRule>();
+    case MoveRule::kBestSingleMove:
+      return std::make_unique<SingleMoveRule>(/*additions_only=*/false);
+    case MoveRule::kBestAddition:
+      return std::make_unique<SingleMoveRule>(/*additions_only=*/true);
+    case MoveRule::kUmflResponse:
+      return std::make_unique<UmflRule>();
+    case MoveRule::kApproxLadder:
+      return std::make_unique<ApproxLadderRule>(options.approx_budget,
+                                                options.approx_repair_cap);
+  }
+  GNCG_CHECK(false, "unknown MoveRule");
 }
 
 }  // namespace gncg

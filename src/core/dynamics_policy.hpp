@@ -6,29 +6,28 @@
 //
 //  * A MoveRulePolicy maps an activated agent to its proposed deviation
 //    (exact best response, best single move, best addition, UMFL
-//    3-approximation).  Proposals are evaluated against *warm* engine state
-//    and must be const + thread-safe, so gain-based schedulers can fan all
-//    agents out over the worker pool.
+//    3-approximation, approximate-BR ladder).  Proposals are evaluated
+//    against *warm* engine state and must be const + thread-safe, so
+//    gain-based schedulers can fan all agents out over the worker pool.
 //  * A SchedulerPolicy decides which agent moves next: round-robin and
 //    random-order probe agents in an activation order (one full silent
 //    round certifies convergence); max-gain, softmax-gain and
 //    fairness-bounded batch-propose every agent in parallel and select by
 //    gain (deterministically -- any randomness comes from the run's Rng,
-//    never from thread scheduling).
+//    never from thread scheduling); parallel-MGM commits a batch of
+//    non-conflicting max-gain moves per round.
 //
 // Policies are stateful per run (cursors, fairness counters) and are
-// created fresh by factories.  The DynamicsPolicyRegistry maps stable
-// names ("round_robin", "softmax_gain", ...) to factories so sweep
-// scenarios, CLIs and tests can select policies by string; the MoveRule /
-// SchedulerKind enums remain the convenient spelling for the builtins and
-// resolve through the same registry.
+// created fresh by make_scheduler / make_move_rule.  The MoveRule /
+// SchedulerKind enums are the one spelling of each policy:
+// scheduler_name / move_rule_name give the stable strings journals tag
+// rows with.  A new policy adds an enumerator, a `switch` case in its
+// factory and its name.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -36,6 +35,8 @@
 #include "support/rng.hpp"
 
 namespace gncg {
+
+struct DynamicsOptions;
 
 /// What an activated agent plays.
 enum class MoveRule {
@@ -75,34 +76,11 @@ struct Activation {
   Proposal proposal;
 };
 
-/// Shared knobs a policy factory may read.
-struct PolicyConfig {
-  int node_count = 0;
-  /// Fairness-bounded scheduler: the longest an agent with an improving
-  /// move may be passed over, in scheduler steps.  0 = 2 * node_count.
-  std::uint64_t fairness_bound = 0;
-  /// Softmax-gain scheduler: selection temperature relative to the largest
-  /// current gain (higher = closer to uniform over improving agents).
-  double softmax_tau = 0.25;
-  /// Approx-ladder move rule: candidate-shortlist size handed to the
-  /// spatial oracle.  <= 0 picks the ladder's default.
-  int approx_budget = 0;
-  /// Approx-ladder bounded-frontier repair cap; 0 = exact repairs.
-  std::size_t approx_repair_cap = 0;
-  /// Parallel-MGM scheduler: number of agent shards per round (each shard
-  /// nominates its max-gain improving agent; non-conflicting nominees
-  /// commit together).  <= 0 picks the default max(1, node_count / 16);
-  /// 1 degenerates to the sequential max_gain step.
-  int mgm_shards = 0;
-};
-
 /// Maps an activated agent to its proposal.  Stateless; const-callable from
 /// multiple threads against warm engine state.
 class MoveRulePolicy {
  public:
   virtual ~MoveRulePolicy() = default;
-
-  virtual std::string_view name() const = 0;
 
   /// Proposal for agent u against warm engine state (const, thread-safe).
   virtual Proposal propose_warm(const DeviationEngine& engine,
@@ -130,13 +108,12 @@ class SchedulerPolicy {
  public:
   virtual ~SchedulerPolicy() = default;
 
-  virtual std::string_view name() const = 0;
-
   /// The next improving activation, or nullopt when no agent can improve
   /// (convergence).  All randomness must come from `rng`.  Round-based
   /// schedulers that only implement next_round contract-fail here.
   virtual std::optional<Activation> next(DeviationEngine& engine,
-                                         const MoveRulePolicy& rule, Rng& rng);
+                                         const MoveRulePolicy& rule,
+                                         Rng& rng) = 0;
 
   /// The activations committed this round, in commit order; empty means no
   /// agent can improve (convergence).  Agents are distinct within a round
@@ -155,46 +132,16 @@ class SchedulerPolicy {
   virtual std::uint64_t rounds() const = 0;
 };
 
-using MoveRuleFactory =
-    std::function<std::unique_ptr<MoveRulePolicy>(const PolicyConfig&)>;
-using SchedulerFactory =
-    std::function<std::unique_ptr<SchedulerPolicy>(const PolicyConfig&)>;
-
-/// Name -> factory registry for schedulers and move rules.  `instance()`
-/// registers the builtins on first use (explicitly, not via static
-/// initializers -- same linker rationale as ScenarioRegistry).
-class DynamicsPolicyRegistry {
- public:
-  static DynamicsPolicyRegistry& instance();
-
-  /// Registers a factory; contract-fails on duplicate names.
-  void add_scheduler(std::string name, SchedulerFactory factory);
-  void add_rule(std::string name, MoveRuleFactory factory);
-
-  /// Builds a fresh policy; contract-fails on unknown names (with the
-  /// known-name list in the message).
-  std::unique_ptr<SchedulerPolicy> make_scheduler(
-      std::string_view name, const PolicyConfig& config) const;
-  std::unique_ptr<MoveRulePolicy> make_rule(std::string_view name,
-                                            const PolicyConfig& config) const;
-
-  /// All registered names, sorted.
-  std::vector<std::string> scheduler_names() const;
-  std::vector<std::string> rule_names() const;
-
- private:
-  std::vector<std::pair<std::string, SchedulerFactory>> schedulers_;
-  std::vector<std::pair<std::string, MoveRuleFactory>> rules_;
-};
-
-/// Canonical registry names of the builtin enums.
+/// Stable names of the policies: the strings journals tag rows with.
 std::string_view scheduler_name(SchedulerKind kind);
 std::string_view move_rule_name(MoveRule rule);
 
-/// Builds a builtin policy (enum convenience over the registry).
-std::unique_ptr<SchedulerPolicy> make_scheduler(SchedulerKind kind,
-                                                const PolicyConfig& config);
+/// Builds a fresh policy for an n-agent run, reading its knobs
+/// (fairness_bound, softmax_tau, approx_budget, approx_repair_cap,
+/// mgm_shards) from `options`.
+std::unique_ptr<SchedulerPolicy> make_scheduler(
+    SchedulerKind kind, int node_count, const DynamicsOptions& options);
 std::unique_ptr<MoveRulePolicy> make_move_rule(MoveRule rule,
-                                               const PolicyConfig& config);
+                                               const DynamicsOptions& options);
 
 }  // namespace gncg

@@ -75,9 +75,8 @@ struct RestartOptions {
 /// One restart's outcome.
 struct RestartRun {
   std::uint64_t stream = 0;  ///< the restart's derived stream seed
-  /// Effective scheduler policy name (registry name; resolves the
-  /// scheduler_cycle and any dynamics.scheduler_name override).
-  std::string scheduler;
+  /// The scheduler this restart ran (resolves the scheduler_cycle).
+  SchedulerKind scheduler = SchedulerKind::kRoundRobin;
   DynamicsResult result;
   bool cycle_verified = false;  ///< set only under verify_cycles
   bool skipped = false;  ///< cancelled by stop_after_verified_cycle

@@ -397,7 +397,7 @@ ScenarioResult run_fip_probe(const SweepPoint& point, Rng& rng) {
                 static_cast<double>(report.hash_collisions))
         .metric("elapsed_ms", timer.millis())
         .tag("scheduler", std::string(scheduler_name(kSchedulerAxis[si])))
-        .tag("rule", "best_response")
+        .tag("rule", std::string(move_rule_name(restart_options.dynamics.rule)))
         .tag("fip_witness", report.cycles_verified > 0 ? "cycle" : "none");
     result.rows.push_back(std::move(row));
   }
@@ -646,7 +646,7 @@ ScenarioResult run_approx_ne(const SweepPoint& point, Rng& rng) {
       .metric("dense_cells_delta", dense_cells_delta)
       .metric("dynamics_ms", dynamics_ms)
       .metric("certify_ms", certify_ms)
-      .tag("rule", "approx_ladder")
+      .tag("rule", std::string(move_rule_name(restart_options.dynamics.rule)))
       .tag("equilibrium",
            improving == 0 ? "approx NE (no improving agent sampled)"
                           : "not settled");

@@ -169,15 +169,6 @@ TEST(CsrAdjacency, RebuildReusesSlabAndMatchesIncremental) {
 
 // --- differential fuzz vs build_adjacency ----------------------------------
 
-HostGraph random_integer_host(int n, Rng& rng) {
-  DistanceMatrix weights(n, 0.0);
-  for (int u = 0; u < n; ++u)
-    for (int v = u + 1; v < n; ++v)
-      weights.set_symmetric(u, v,
-                            static_cast<double>(rng.uniform_int(1, 9)));
-  return HostGraph::from_weights(std::move(weights));
-}
-
 HostGraph random_host(int family, int n, Rng& rng) {
   switch (family) {
     case 0:

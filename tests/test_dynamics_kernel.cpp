@@ -1,14 +1,17 @@
 // Tests for the dynamics kernel's state and orchestration layers:
 // incremental Zobrist hashing vs the from-scratch reference, hashed cycle
 // detection vs exact full-profile comparison (differential fuzz), the
-// policy registry, the observer API, and the restart driver's thread-count
+// policy names, the observer API, and the restart driver's thread-count
 // determinism contract (1-vs-N byte-identical results, same probe style as
 // tests/test_sweep.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/dynamics.hpp"
@@ -40,7 +43,7 @@ class ThreadGuard {
 /// equality probe: every field that could expose execution order).
 std::string run_bytes(const RestartRun& run) {
   std::ostringstream os;
-  os << run.stream << '|' << run.scheduler << '|'
+  os << run.stream << '|' << scheduler_name(run.scheduler) << '|'
      << run.result.converged << '|' << run.result.cycle_found << '|'
      << run.result.cycle_start << '|' << run.result.cycle_length << '|'
      << run.result.moves << '|' << run.result.rounds << '|'
@@ -171,46 +174,55 @@ TEST(Transposition, HashedRevisitAgreesWithExactComparison) {
   }
 }
 
-// --- policy registry ------------------------------------------------------
+// --- policy names ---------------------------------------------------------
 
-TEST(PolicyRegistry, BuiltinsAreRegistered) {
-  const auto& registry = DynamicsPolicyRegistry::instance();
-  const auto schedulers = registry.scheduler_names();
-  for (const char* expected : {"fairness_bounded", "max_gain", "parallel_mgm",
-                               "random_order", "round_robin", "softmax_gain"})
-    EXPECT_NE(std::find(schedulers.begin(), schedulers.end(), expected),
-              schedulers.end())
-        << expected;
-  const auto rules = registry.rule_names();
-  for (const char* expected : {"best_addition", "best_response",
-                               "best_single_move", "umfl_response"})
-    EXPECT_NE(std::find(rules.begin(), rules.end(), expected), rules.end())
-        << expected;
-}
+TEST(PolicyNames, PinnedDistinctAndEveryEnumeratorRuns) {
+  // The strings journals tag rows with: renaming one breaks comparison
+  // with every stored journal.
+  const std::vector<std::pair<SchedulerKind, std::string_view>> schedulers = {
+      {SchedulerKind::kRoundRobin, "round_robin"},
+      {SchedulerKind::kRandomOrder, "random_order"},
+      {SchedulerKind::kMaxGain, "max_gain"},
+      {SchedulerKind::kFairnessBounded, "fairness_bounded"},
+      {SchedulerKind::kSoftmaxGain, "softmax_gain"},
+      {SchedulerKind::kParallelMgm, "parallel_mgm"}};
+  const std::vector<std::pair<MoveRule, std::string_view>> rules = {
+      {MoveRule::kBestResponse, "best_response"},
+      {MoveRule::kBestSingleMove, "best_single_move"},
+      {MoveRule::kBestAddition, "best_addition"},
+      {MoveRule::kUmflResponse, "umfl_response"},
+      {MoveRule::kApproxLadder, "approx_ladder"}};
+  std::set<std::string_view> names;
+  for (const auto& [kind, name] : schedulers) {
+    EXPECT_EQ(scheduler_name(kind), name);
+    names.insert(scheduler_name(kind));
+  }
+  for (const auto& [rule, name] : rules) {
+    EXPECT_EQ(move_rule_name(rule), name);
+    names.insert(move_rule_name(rule));
+  }
+  EXPECT_EQ(names.size(), schedulers.size() + rules.size());
 
-TEST(PolicyRegistry, UnknownNamesContractFail) {
-  const PolicyConfig config{/*node_count=*/4};
-  EXPECT_THROW(DynamicsPolicyRegistry::instance().make_scheduler("nope",
-                                                                 config),
-               ContractViolation);
-  EXPECT_THROW(DynamicsPolicyRegistry::instance().make_rule("nope", config),
-               ContractViolation);
-}
-
-TEST(PolicyRegistry, NameOverridesResolveThroughRegistry) {
+  // Every scheduler x rule pair builds and runs to a verdict; converged
+  // single-move runs end in a greedy equilibrium.
   Rng rng(4013);
   const Game game(HostGraph::unit(5), 3.0);
-  DynamicsOptions options;
-  options.rule_name = "best_single_move";
-  options.scheduler_name = "max_gain";
-  options.max_moves = 2000;
-  const auto run = run_dynamics(game, random_profile(game, rng), options);
-  EXPECT_TRUE(run.converged);
-  EXPECT_TRUE(is_greedy_equilibrium(game, run.final_profile));
-  DynamicsOptions bad = options;
-  bad.scheduler_name = "no_such_scheduler";
-  EXPECT_THROW(run_dynamics(game, random_profile(game, rng), bad),
-               ContractViolation);
+  const StrategyProfile start = random_profile(game, rng);
+  for (const auto& [kind, scheduler] : schedulers) {
+    for (const auto& [rule, rule_label] : rules) {
+      DynamicsOptions options;
+      options.scheduler = kind;
+      options.rule = rule;
+      options.max_moves = 2000;
+      const auto run = run_dynamics(game, start, options);
+      EXPECT_TRUE(run.converged || run.cycle_found)
+          << scheduler << " x " << rule_label;
+      if (run.converged && rule == MoveRule::kBestSingleMove) {
+        EXPECT_TRUE(is_greedy_equilibrium(game, run.final_profile))
+            << scheduler;
+      }
+    }
+  }
 }
 
 // --- observer API ---------------------------------------------------------
@@ -274,7 +286,9 @@ TEST(Observer, RecordStepsOffStillFillsGainStats) {
   options.record_steps = false;
   const auto run = run_dynamics(game, random_profile(game, rng), options);
   EXPECT_TRUE(run.steps.empty());
-  if (run.moves > 0) EXPECT_GT(run.step_gains.count(), 0u);
+  if (run.moves > 0) {
+    EXPECT_GT(run.step_gains.count(), 0u);
+  }
 }
 
 // --- new schedulers -------------------------------------------------------

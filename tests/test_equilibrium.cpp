@@ -67,8 +67,9 @@ TEST(Equilibrium, ContainmentNashImpliesGreedyImpliesAddOnly) {
       EXPECT_TRUE(is_greedy_equilibrium(game, profile));
       EXPECT_TRUE(is_add_only_equilibrium(game, profile));
     }
-    if (is_greedy_equilibrium(game, profile))
+    if (is_greedy_equilibrium(game, profile)) {
       EXPECT_TRUE(is_add_only_equilibrium(game, profile));
+    }
   }
 }
 
@@ -106,8 +107,9 @@ TEST(Equilibrium, AgentReportIsCoherent) {
     EXPECT_LE(report.best_response_cost,
               report.best_single_move_cost + 1e-9);
     EXPECT_LE(report.best_single_move_cost, report.current_cost + 1e-9);
-    if (report.single_move_improves)
+    if (report.single_move_improves) {
       EXPECT_TRUE(report.best_response_improves);
+    }
   }
 }
 

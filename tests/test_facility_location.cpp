@@ -124,7 +124,9 @@ TEST(Theorem3Reduction, RoundTripStrategyMapping) {
   const auto back = umfl_solution_to_strategy(reduction, solution, 5);
   // The round trip re-derives S = F \ Z, so bought-by-others nodes drop out.
   strategy.for_each([&](int v) {
-    if (!profile.buys(v, 2)) EXPECT_TRUE(back.contains(v));
+    if (!profile.buys(v, 2)) {
+      EXPECT_TRUE(back.contains(v));
+    }
   });
 }
 

@@ -57,7 +57,9 @@ TEST(SwapEquilibrium, SwapOnlyScanNeverAddsOrDeletes) {
   const auto profile = random_profile(game, rng);
   for (int u = 0; u < 6; ++u) {
     const auto move = best_swap(game, profile, u);
-    if (move.improved) EXPECT_EQ(move.move.type, MoveType::kSwap);
+    if (move.improved) {
+      EXPECT_EQ(move.move.type, MoveType::kSwap);
+    }
   }
 }
 

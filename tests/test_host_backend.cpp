@@ -147,8 +147,9 @@ TEST(HostBackend, TreePathAndStarShapes) {
     if (v == 2) continue;
     EXPECT_DOUBLE_EQ(star_host.host_distance(2, v), 3.0);
     for (int w = 0; w < 6; ++w)
-      if (w != v && w != 2)
+      if (w != v && w != 2) {
         EXPECT_DOUBLE_EQ(star_host.host_distance(v, w), 6.0);
+      }
   }
 }
 

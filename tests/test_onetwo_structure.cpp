@@ -33,8 +33,9 @@ TEST(Lemma5, MinimumSpannerHasAllOneEdgesAndDiameterThree) {
     const auto g = graph_of(6, edges);
     for (int u = 0; u < 6; ++u)
       for (int v = u + 1; v < 6; ++v)
-        if (host.weight(u, v) == 1.0)
+        if (host.weight(u, v) == 1.0) {
           EXPECT_TRUE(g.has_edge(u, v)) << "1-edge missing (Lemma 5)";
+        }
     EXPECT_LE(diameter(g), 3.0 + 1e-9) << "diameter exceeds 3 (Lemma 5)";
   }
 }
@@ -75,12 +76,14 @@ TEST(Lemma6, StableNetworksLiveInsideTheAlgorithmOneOptimum) {
           EXPECT_TRUE(g_star.has_edge(u, v))
               << "NE edge (" << u << "," << v << ") outside OPT (Lemma 6)";
         }
-        if (game.weight(u, v) == 1.0 && !g.has_edge(u, v))
+        if (game.weight(u, v) == 1.0 && !g.has_edge(u, v)) {
           EXPECT_NEAR(dist.at(u, v), 2.0, 1e-9)
               << "missing 1-edge must sit at distance 2 (Lemma 6)";
-        if (game.weight(u, v) == 2.0 && !g_star.has_edge(u, v))
+        }
+        if (game.weight(u, v) == 2.0 && !g_star.has_edge(u, v)) {
           EXPECT_LE(dist.at(u, v), 3.0 + 1e-9)
               << "2-edge outside OPT must sit at distance <= 3 (Lemma 6)";
+        }
       }
     }
   }
@@ -137,9 +140,10 @@ TEST(Lemma3Exhaustive, EnumeratedLowAlphaEquilibriaContainAllOneEdges) {
     for (const auto& profile : equilibria.profiles)
       for (int u = 0; u < 4; ++u)
         for (int v = u + 1; v < 4; ++v)
-          if (game.weight(u, v) == 1.0)
+          if (game.weight(u, v) == 1.0) {
             EXPECT_TRUE(profile.has_edge(u, v))
                 << "NE missing a 1-edge at alpha=" << alpha << " (Lemma 3)";
+          }
   }
 }
 

@@ -76,8 +76,9 @@ TEST(Corollary3, DefiningTreeIsNashUnderSomeOwnership) {
     const Game game(HostGraph::from_tree(tree), rng.uniform_real(0.5, 2.5));
     const auto owned = find_nash_ownership(game, tree.edges());
     EXPECT_TRUE(owned.has_value()) << "trial " << trial;
-    if (owned.has_value())
+    if (owned.has_value()) {
       EXPECT_TRUE(is_nash_equilibrium(game, *owned));
+    }
   }
 }
 
@@ -156,9 +157,10 @@ TEST(Lemma3, OneEdgesAlwaysBoughtBelowHalfOne) {
     if (!is_nash_equilibrium(game, ne)) continue;
     for (int u = 0; u < 5; ++u)
       for (int v = u + 1; v < 5; ++v)
-        if (game.weight(u, v) == 1.0)
+        if (game.weight(u, v) == 1.0) {
           EXPECT_TRUE(ne.has_edge(u, v))
               << "missing 1-edge (" << u << "," << v << ") in NE";
+        }
   }
 }
 

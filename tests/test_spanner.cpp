@@ -86,7 +86,9 @@ TEST(OneTwoSpanner, ContainsAllOneEdges) {
   for (const auto& e : edges) g.add_edge(e.u, e.v, e.weight);
   for (int u = 0; u < host.node_count(); ++u)
     for (int v = u + 1; v < host.node_count(); ++v)
-      if (host.weight(u, v) == 1.0) EXPECT_TRUE(g.has_edge(u, v));
+      if (host.weight(u, v) == 1.0) {
+        EXPECT_TRUE(g.has_edge(u, v));
+      }
 }
 
 TEST(OneTwoSpanner, IsAThreeHalvesSpanner) {
