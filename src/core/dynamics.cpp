@@ -20,8 +20,8 @@ DynamicsResult run_dynamics(DeviationEngine& engine,
                             const DynamicsOptions& options) {
   const int n = engine.game().node_count();
   Rng rng(options.seed);
-  const auto rule = make_move_rule(options.rule, options);
-  const auto scheduler = make_scheduler(options.scheduler, n, options);
+  const auto rule = make_move_rule(options);
+  const auto scheduler = make_scheduler(options, n);
 
   DynamicsResult result;
   TranspositionTable visited;

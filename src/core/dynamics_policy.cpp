@@ -530,8 +530,8 @@ std::string_view move_rule_name(MoveRule rule) {
 }
 
 std::unique_ptr<SchedulerPolicy> make_scheduler(
-    SchedulerKind kind, int node_count, const DynamicsOptions& options) {
-  switch (kind) {
+    const DynamicsOptions& options, int node_count) {
+  switch (options.scheduler) {
     case SchedulerKind::kRoundRobin:
       return std::make_unique<OrderScheduler>(node_count, /*reshuffle=*/false);
     case SchedulerKind::kRandomOrder:
@@ -551,9 +551,9 @@ std::unique_ptr<SchedulerPolicy> make_scheduler(
   GNCG_CHECK(false, "unknown SchedulerKind");
 }
 
-std::unique_ptr<MoveRulePolicy> make_move_rule(MoveRule rule,
-                                               const DynamicsOptions& options) {
-  switch (rule) {
+std::unique_ptr<MoveRulePolicy> make_move_rule(
+    const DynamicsOptions& options) {
+  switch (options.rule) {
     case MoveRule::kBestResponse:
       return std::make_unique<BestResponseRule>();
     case MoveRule::kBestSingleMove:

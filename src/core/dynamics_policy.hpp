@@ -136,12 +136,12 @@ class SchedulerPolicy {
 std::string_view scheduler_name(SchedulerKind kind);
 std::string_view move_rule_name(MoveRule rule);
 
-/// Builds a fresh policy for an n-agent run, reading its knobs
-/// (fairness_bound, softmax_tau, approx_budget, approx_repair_cap,
-/// mgm_shards) from `options`.
-std::unique_ptr<SchedulerPolicy> make_scheduler(
-    SchedulerKind kind, int node_count, const DynamicsOptions& options);
-std::unique_ptr<MoveRulePolicy> make_move_rule(MoveRule rule,
-                                               const DynamicsOptions& options);
+/// Builds a fresh policy of the kind `options.scheduler` / `options.rule`
+/// names, reading its knobs (fairness_bound, softmax_tau, approx_budget,
+/// approx_repair_cap, mgm_shards) from `options` too; the scheduler serves
+/// an n-agent run.
+std::unique_ptr<SchedulerPolicy> make_scheduler(const DynamicsOptions& options,
+                                                int node_count);
+std::unique_ptr<MoveRulePolicy> make_move_rule(const DynamicsOptions& options);
 
 }  // namespace gncg

@@ -203,11 +203,13 @@ TEST(PolicyNames, PinnedDistinctAndEveryEnumeratorRuns) {
   }
   EXPECT_EQ(names.size(), schedulers.size() + rules.size());
 
-  // Every scheduler x rule pair builds and runs to a verdict; converged
-  // single-move runs end in a greedy equilibrium.
+  // Every scheduler x rule pair builds a policy run_dynamics accepts and,
+  // from a start that is not an equilibrium, moves and converges; exact
+  // and single-move runs end in a greedy equilibrium.
   Rng rng(4013);
-  const Game game(HostGraph::unit(5), 3.0);
+  const Game game(random_metric_host(6, rng), 1.0);
   const StrategyProfile start = random_profile(game, rng);
+  ASSERT_FALSE(is_greedy_equilibrium(game, start));
   for (const auto& [kind, scheduler] : schedulers) {
     for (const auto& [rule, rule_label] : rules) {
       DynamicsOptions options;
@@ -215,11 +217,12 @@ TEST(PolicyNames, PinnedDistinctAndEveryEnumeratorRuns) {
       options.rule = rule;
       options.max_moves = 2000;
       const auto run = run_dynamics(game, start, options);
-      EXPECT_TRUE(run.converged || run.cycle_found)
-          << scheduler << " x " << rule_label;
-      if (run.converged && rule == MoveRule::kBestSingleMove) {
+      EXPECT_GT(run.moves, 0u) << scheduler << " x " << rule_label;
+      EXPECT_TRUE(run.converged) << scheduler << " x " << rule_label;
+      if (rule == MoveRule::kBestResponse ||
+          rule == MoveRule::kBestSingleMove) {
         EXPECT_TRUE(is_greedy_equilibrium(game, run.final_profile))
-            << scheduler;
+            << scheduler << " x " << rule_label;
       }
     }
   }

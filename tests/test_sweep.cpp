@@ -463,161 +463,6 @@ TEST(SweepProvenance, MalformedExtensionValuesContractFail) {
 
 // --- scenario row helpers -------------------------------------------------
 
-// --- smoke grids ------------------------------------------------------------
-//
-// The sweep_smoke, dynamics_smoke, br_certify_smoke and approx_ne_smoke
-// ctests run these grids through the sweep_runner CLI; the cases below
-// assert what their journals must contain.
-
-TEST(SmokeGrid, SweepJournalRecordsAndSummaryCarrySchema) {
-  const std::string path = temp_path("smoke_schema.jsonl");
-  SweepPlan plan;
-  plan.scenarios = {"br_dynamics", "poa_random", "optimum_gap"};
-  plan.hosts = {"dense", "euclidean", "tree"};
-  plan.ns = {5};
-  plan.alphas = {1.0};
-  plan.seeds = 2;
-  plan.extras = {{"rounds", 2.0}, {"agents", 8.0}};
-  SweepRunnerOptions options;
-  options.journal_path = path;
-  const SweepReport report = run_sweep(plan, options);
-
-  const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 1u + report.outcomes.size());
-  const auto header = JsonValue::parse(lines[0]);
-  ASSERT_TRUE(header.has_value()) << lines[0];
-  EXPECT_EQ(header->string_at("schema"), "gncg-sweep-journal-1");
-  EXPECT_EQ(header->number_at("jobs"),
-            static_cast<double>(report.outcomes.size()));
-  std::vector<int> points;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const auto record = JsonValue::parse(lines[i]);
-    ASSERT_TRUE(record.has_value()) << lines[i];
-    EXPECT_EQ(record->string_at("schema"), "gncg-sweep-1");
-    for (const char* key : {"scenario", "point", "host", "n", "alpha",
-                            "norm_p", "seed", "stream", "rows"})
-      EXPECT_NE(record->find(key), nullptr) << key << " in " << lines[i];
-    points.push_back(static_cast<int>(record->number_at("point").value()));
-    for (const JsonValue& row : record->find("rows")->items()) {
-      ASSERT_EQ(row.members().size(), 2u) << lines[i];
-      EXPECT_NE(row.find("metrics"), nullptr);
-      EXPECT_NE(row.find("tags"), nullptr);
-    }
-  }
-  std::sort(points.begin(), points.end());
-  for (std::size_t i = 0; i < points.size(); ++i)
-    EXPECT_EQ(points[i], static_cast<int>(i));
-
-  std::ostringstream records;
-  write_records_jsonl(records, report.outcomes);
-  std::istringstream record_lines(records.str());
-  std::string line;
-  double expected_point = 0.0;
-  while (std::getline(record_lines, line)) {
-    const auto record = JsonValue::parse(line);
-    ASSERT_TRUE(record.has_value()) << line;
-    EXPECT_EQ(record->number_at("point"), expected_point++);
-  }
-  EXPECT_EQ(expected_point, static_cast<double>(report.outcomes.size()));
-
-  std::ostringstream summary;
-  write_summary_jsonl(summary, aggregate_outcomes(report.outcomes));
-  std::istringstream summary_lines(summary.str());
-  while (std::getline(summary_lines, line)) {
-    const auto aggregate = JsonValue::parse(line);
-    ASSERT_TRUE(aggregate.has_value()) << line;
-    EXPECT_EQ(aggregate->string_at("schema"), "gncg-sweep-summary-1");
-    EXPECT_GE(aggregate->number_at("count").value_or(0.0), 1.0) << line;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SmokeGrid, DynamicsRowsAreTaggedAndMgmBatches) {
-  SweepPlan plan;
-  plan.scenarios = {"ne_sampling", "fip_probe", "parallel_mgm"};
-  plan.hosts = {"dense", "tree"};
-  plan.ns = {8};
-  plan.alphas = {1.0};
-  plan.extras = {{"restarts", 6.0},   {"max_moves", 300.0},
-                 {"schedulers", 2.0}, {"rules", 2.0},
-                 {"shards", 2.0}};
-  const SweepReport report = run_sweep(plan, {});
-  ASSERT_EQ(report.outcomes.size(), 6u);  // 3 scenarios x 2 hosts
-
-  // Rows per job: schedulers x rules, schedulers, and parallel_mgm's three
-  // schedulers (parallel_mgm, max_gain, round_robin) per rule.
-  const std::vector<std::pair<std::string, std::size_t>> expected_rows = {
-      {"ne_sampling", 4}, {"fip_probe", 2}, {"parallel_mgm", 6}};
-  bool saw_batch_of_two = false;
-  for (const SweepOutcome& outcome : report.outcomes) {
-    const std::string& scenario = outcome.point.scenario;
-    const auto expected = std::find_if(
-        expected_rows.begin(), expected_rows.end(),
-        [&](const auto& entry) { return entry.first == scenario; });
-    ASSERT_NE(expected, expected_rows.end()) << scenario;
-    EXPECT_EQ(outcome.result.rows.size(), expected->second) << scenario;
-    for (const ScenarioRow& row : outcome.result.rows) {
-      EXPECT_FALSE(row.tag_or_empty("scheduler").empty()) << scenario;
-      EXPECT_FALSE(row.tag_or_empty("rule").empty()) << scenario;
-      EXPECT_EQ(row.metric_or_nan("restarts"), 6.0) << scenario;
-      if (scenario == "parallel_mgm" &&
-          row.tag_or_empty("scheduler") == "parallel_mgm") {
-        // shards=2 bounds a round to two commits.
-        const double batch = row.metric_or_nan("max_round_commits");
-        EXPECT_GE(batch, 1.0);
-        EXPECT_LE(batch, 2.0);
-        saw_batch_of_two = saw_batch_of_two || batch == 2.0;
-      }
-    }
-  }
-  EXPECT_TRUE(saw_batch_of_two) << "no parallel_mgm round batched 2 moves";
-}
-
-TEST(SmokeGrid, BrCertifyRowsCountEveryAgent) {
-  SweepPlan plan;
-  plan.scenarios = {"br_certify"};
-  plan.hosts = {"dense", "euclidean", "tree"};
-  plan.ns = {16};
-  plan.alphas = {1.0, 2.0};
-  plan.seeds = 2;
-  plan.extras = {{"settle_rounds", 2.0}};
-  const SweepReport report = run_sweep(plan, {});
-  ASSERT_EQ(report.outcomes.size(), 12u);  // 3 hosts x 2 alphas x 2 seeds
-  for (const SweepOutcome& outcome : report.outcomes) {
-    ASSERT_EQ(outcome.result.rows.size(), 1u);
-    const ScenarioRow& row = outcome.result.rows[0];
-    const double agents = row.metric_or_nan("agents");
-    EXPECT_EQ(agents, static_cast<double>(outcome.point.n));
-    EXPECT_GE(row.metric_or_nan("improving_agents"), 0.0);
-    EXPECT_GE(row.metric_or_nan("br_evaluations"), agents);
-    const std::string certified = row.tag_or_empty("certified");
-    EXPECT_TRUE(certified == "NE" || certified == "not NE") << certified;
-  }
-}
-
-TEST(SmokeGrid, ApproxNeCertifiesWithoutDenseMatrix) {
-  // approx_ne_smoke runs this at n = 10^4; n = 2000 keeps the case quick.
-  SweepPlan plan;
-  plan.scenarios = {"approx_ne"};
-  plan.hosts = {"euclidean"};
-  plan.ns = {2000};
-  plan.alphas = {100.0};
-  plan.extras = {{"restarts", 1.0},
-                 {"max_moves", 40.0},
-                 {"budget", 8.0},
-                 {"certify_agents", 16.0}};
-  const SweepReport report = run_sweep(plan, {});
-  ASSERT_EQ(report.outcomes.size(), 1u);
-  ASSERT_EQ(report.outcomes[0].result.rows.size(), 1u);
-  const ScenarioRow& row = report.outcomes[0].result.rows[0];
-  EXPECT_EQ(row.metric_or_nan("dense_cells_delta"), 0.0);
-  EXPECT_GE(row.metric_or_nan("max_beta"), 1.0);
-  EXPECT_GE(row.metric_or_nan("mean_beta"), 1.0);
-  EXPECT_GE(row.metric_or_nan("max_eps"), 0.0);
-  EXPECT_EQ(row.metric_or_nan("certified_agents"), 16.0);
-  EXPECT_EQ(row.tag_or_empty("rule"), "approx_ladder");
-}
-
 TEST(ScenarioRow, LookupHelpers) {
   ScenarioRow row;
   row.metric("a", 1.5).tag("t", "v");
